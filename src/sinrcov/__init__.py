@@ -27,7 +27,6 @@ from .geometry import (
     PppRealization,
     nearest_window_distances,
     sample_ordered_distances_direct,
-    sample_window_realization,
     serving_distance_density,
 )
 from .quadrature import (
@@ -36,7 +35,6 @@ from .quadrature import (
     integrate_adaptive,
     tail_integral,
     tail_integral_batch,
-    tail_integral_closed_form,
     tail_integrand,
 )
 from .streams import trial_stream
@@ -65,13 +63,11 @@ __all__ = [
     "nearest_window_distances",
     "prob_model_coverage",
     "sample_ordered_distances_direct",
-    "sample_window_realization",
     "serving_distance_density",
     "sg_coverage",
     "tail_error_report",
     "tail_integral",
     "tail_integral_batch",
-    "tail_integral_closed_form",
     "tail_integrand",
     "tail_truncation_error",
     "tail_truncation_error_bound",

@@ -228,7 +228,8 @@ def _cache_key(method: str, n: int, k: int):
 def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
     """One CoverageCurve per (method, N, K) combination, deterministically.
 
-    Estimator failures are re-raised annotated with the failing combination.
+    An estimator failure is re-raised as the same exception, with its type
+    and payload, and the failing combination appended to its message.
     """
     curves: list[CoverageCurve] = []
     cache: dict = {}
@@ -241,12 +242,9 @@ def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
                     try:
                         cache[key] = _compute(method, spec, n, k)
                     except Exception as exc:
-                        note = f"{exc} [method={method}, N={n}, K={k}]"
-                        try:
-                            annotated = type(exc)(note)
-                        except TypeError:
-                            annotated = RuntimeError(note)
-                        raise annotated from exc
+                        exc.args = (f"{exc} [method={method}, N={n}, K={k}]",
+                                    *exc.args[1:])
+                        raise
                     print(f"[sinrcov] {method} N={n} K={k}: done in "
                           f"{time.perf_counter() - start:.1f}s",
                           file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import streams
 from .geometry import NetworkConfig
-from .quadrature import DEFAULT_ABS_TOL, _pow_eta, tail_integral, tail_integral_batch
+from .quadrature import DEFAULT_ABS_TOL, _pow_eta, tail_integral_batch
 
 
 # exp(-z) underflows for large exponents; the error term is mathematically
@@ -43,42 +43,46 @@ def _require_eta_above_2(eta: float) -> None:
         )
 
 
-def tail_truncation_error(s: float, boundary_radius: float, bs_density: float,
+def tail_truncation_error(s, boundary_radius, bs_density: float,
                           pathloss_exponent: float,
-                          quad_abs_tol: float = DEFAULT_ABS_TOL) -> float:
+                          quad_abs_tol: float = DEFAULT_ABS_TOL):
     """Coverage error from ignoring interferers beyond ``boundary_radius``.
 
     Equals 1 - exp(-2*pi*lam * tail_integral(s, eta, R, inf)); always in
-    [0, 1).
+    [0, 1).  Elementwise over arrays of ``s`` and ``boundary_radius``.
     """
     _require_eta_above_2(pathloss_exponent)
-    if not boundary_radius > 0:
+    if not np.all(np.asarray(boundary_radius) > 0):
         raise ValueError(f"boundary_radius must be > 0, got {boundary_radius}")
     if not bs_density > 0:
         raise ValueError(f"bs_density must be > 0, got {bs_density}")
-    tail = tail_integral(s, pathloss_exponent, boundary_radius, math.inf,
-                         quad_abs_tol)
-    return min(-math.expm1(-2.0 * math.pi * bs_density * tail), _ONE_BELOW)
+    tail = tail_integral_batch(s, pathloss_exponent, boundary_radius,
+                               math.inf, quad_abs_tol)
+    out = np.minimum(-np.expm1(-2.0 * math.pi * bs_density * tail),
+                     _ONE_BELOW)
+    return out if out.ndim else float(out)
 
 
-def tail_truncation_error_bound(s: float, boundary_radius: float,
-                                bs_density: float,
-                                pathloss_exponent: float) -> float:
+def tail_truncation_error_bound(s, boundary_radius, bs_density: float,
+                                pathloss_exponent: float):
     """Elementary bound 2*pi*lam*s / ((eta-2) * R**(eta-2)).
 
     Dominates :func:`tail_truncation_error` pointwise; it may exceed 1, in
-    which case the trivial bound 1 is sharper.
+    which case the trivial bound 1 is sharper.  Elementwise over arrays of
+    ``s`` and ``boundary_radius``.
     """
     _require_eta_above_2(pathloss_exponent)
-    if not s >= 0:
+    if not np.all(np.asarray(s) >= 0):
         raise ValueError(f"s must be >= 0, got {s}")
-    if not boundary_radius > 0:
+    if not np.all(np.asarray(boundary_radius) > 0):
         raise ValueError(f"boundary_radius must be > 0, got {boundary_radius}")
     if not bs_density > 0:
         raise ValueError(f"bs_density must be > 0, got {bs_density}")
     eta = pathloss_exponent
-    return (2.0 * math.pi * bs_density * s
-            / ((eta - 2.0) * _pow_eta(boundary_radius, eta - 2.0)))
+    out = (2.0 * math.pi * bs_density * np.asarray(s, dtype=float)
+           / ((eta - 2.0) * _pow_eta(np.asarray(boundary_radius, dtype=float),
+                                     eta - 2.0)))
+    return out if out.ndim else float(out)
 
 
 def _tail_error_samples(cfg: NetworkConfig, interferer_total: int,
@@ -93,12 +97,8 @@ def _tail_error_samples(cfg: NetworkConfig, interferer_total: int,
     r = np.sqrt(sq[:, 0])
     radius = np.sqrt(sq[:, -1])
     s = threshold * _pow_eta(r, eta)
-    tails = tail_integral_batch(s, eta, radius, np.full(trials, math.inf),
-                                quad_abs_tol)
-    delta = np.minimum(-np.expm1(-2.0 * math.pi * lam * tails), _ONE_BELOW)
-    bound = (2.0 * math.pi * lam * s
-             / ((eta - 2.0) * _pow_eta(radius, eta - 2.0)))
-    return delta, bound
+    return (tail_truncation_error(s, radius, lam, eta, quad_abs_tol),
+            tail_truncation_error_bound(s, radius, lam, eta))
 
 
 def expected_tail_truncation_error(cfg: NetworkConfig, interferer_total: int,

@@ -31,13 +31,11 @@ from .geometry import (
     NetworkConfig,
     nearest_window_distances,
     sample_ordered_distances_direct,
-    sample_window_realization,
 )
 from .quadrature import (
     DEFAULT_ABS_TOL,
     _pow_eta,
     integrate_adaptive,
-    tail_integral,
     tail_integral_batch,
 )
 
@@ -217,22 +215,16 @@ def hybrid_sample_value(s: float, distances, dominant_count: int,
         raise ValueError(
             f"need at least {interferer_total} distances, got {d.size}"
         )
-    eta = pathloss_exponent
-    dominant = 1.0
-    for i in range(1, dominant_count):
-        dominant /= 1.0 + s / _pow_eta(d[i], eta)
-    tail = tail_integral(s, eta, d[dominant_count - 1],
-                         d[interferer_total - 1], quad_abs_tol)
-    return float(math.exp(-s * noise_power) * dominant
-                 * math.exp(-2.0 * math.pi * bs_density * tail))
+    vals = _hybrid_trial_values(d[None, :], np.array([[float(s)]]),
+                                dominant_count, interferer_total, bs_density,
+                                noise_power, pathloss_exponent, quad_abs_tol)
+    return float(vals[0, 0])
 
 
-def _hybrid_trial_values(D: np.ndarray, t_linear: np.ndarray, K: int, N: int,
+def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
                          lam: float, sig2: float, eta: float,
                          quad_abs_tol: float) -> np.ndarray:
-    """Vectorized hybrid values, one row per retained trial."""
-    r = D[:, 0]
-    s = t_linear[None, :] * _pow_eta(r, eta)[:, None]
+    """Hybrid values of distance rows D at s of shape (trials, thresholds)."""
     dominant = np.ones_like(s)
     for i in range(1, K):
         dominant /= 1.0 + s / _pow_eta(D[:, i], eta)[:, None]
@@ -251,42 +243,57 @@ def _check_window_feasible(cfg: NetworkConfig, n_needed: int) -> None:
         )
 
 
-def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
-                    grid: ThresholdGrid, sampler: str = SAMPLER_WINDOW,
-                    threads: int = 1) -> CoverageCurve:
-    """Monte Carlo coverage curve of the dominant-plus-tail estimator.
+def _curve(method: str, eta: float, grid: ThresholdGrid, estimates,
+           stderrs=None, used: int = 0, interferer_total: int = 0,
+           dominant_count: int = 0) -> CoverageCurve:
+    return CoverageCurve(
+        method=method, eta=eta, interferer_total=interferer_total,
+        dominant_count=dominant_count, thresholds_db=grid.thresholds_db,
+        thresholds_linear=grid.thresholds_linear, estimates=estimates,
+        stderrs=np.zeros(len(grid)) if stderrs is None else stderrs,
+        trials_used=np.full(len(grid), used, dtype=int),
+    )
 
-    Each trial draws one geometry (window or direct sampler), shares it
-    across every threshold, and accumulates the conditional coverage values.
-    Window trials with fewer than ``interferer_total`` points are skipped and
-    reported via ``trials_used``.
+
+def _monte_carlo_curve(method: str, cfg: NetworkConfig,
+                       settings: EstimatorSettings, grid: ThresholdGrid,
+                       sampler: str, threads: int, values, stderr,
+                       all_window_points: bool = False) -> CoverageCurve:
+    """The Monte Carlo engine shared by the hybrid and simulation routes.
+
+    Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
+    (seed, GEOMETRY_DIRECT, m) substream, so every method sees the same
+    draws.  Window draws with fewer than ``interferer_total`` points are
+    skipped.  ``values(rows, trials)`` maps a block's distance rows and trial
+    indices to an array of shape (rows, thresholds); the per-threshold sum
+    and sum of squares are reduced in block order, and
+    ``stderr(mean, sumsq, used)`` turns them into standard errors.
     """
     if sampler not in (SAMPLER_WINDOW, SAMPLER_DIRECT):
         raise ValueError(f"unknown sampler {sampler!r}")
-    K, N = settings.dominant_count, settings.interferer_total
+    N = settings.interferer_total
     if sampler == SAMPLER_WINDOW:
         _check_window_feasible(cfg, N)
-    t_linear = grid.thresholds_linear
-    lam, sig2, eta = cfg.bs_density, cfg.noise_power, cfg.pathloss_exponent
+    count = None if all_window_points else N
+    domain = (streams.GEOMETRY_WINDOW if sampler == SAMPLER_WINDOW
+              else streams.GEOMETRY_DIRECT)
 
     def block(lo: int, hi: int):
-        rows = []
+        rows, trials = [], []
         for m in range(lo, hi):
+            rng = streams.trial_stream(settings.seed, domain, m)
             if sampler == SAMPLER_WINDOW:
-                rng = streams.trial_stream(settings.seed,
-                                           streams.GEOMETRY_WINDOW, m)
-                total, d = nearest_window_distances(cfg, N, rng)
+                total, d = nearest_window_distances(cfg, count, rng)
                 if total < N:
                     continue
             else:
-                rng = streams.trial_stream(settings.seed,
-                                           streams.GEOMETRY_DIRECT, m)
-                d = sample_ordered_distances_direct(lam, N, rng).distances
+                d = sample_ordered_distances_direct(cfg.bs_density, N,
+                                                    rng).distances
             rows.append(d)
+            trials.append(m)
         if not rows:
             return np.zeros(len(grid)), np.zeros(len(grid)), 0
-        vals = _hybrid_trial_values(np.vstack(rows), t_linear, K, N, lam,
-                                    sig2, eta, settings.quad_abs_tol)
+        vals = values(rows, trials)
         return vals.sum(axis=0), (vals * vals).sum(axis=0), len(rows)
 
     sums = np.zeros(len(grid))
@@ -299,20 +306,42 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
         used += part_n
     if used == 0:
         raise EstimatorError(
-            "no trial produced enough points for the hybrid estimator"
+            f"no trial produced enough points for the {method} estimator"
         )
     mean = sums / used
-    if used > 1:
+    return _curve(method, cfg.pathloss_exponent, grid, mean,
+                  stderr(mean, sumsq, used), used, N,
+                  settings.dominant_count)
+
+
+def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
+                    grid: ThresholdGrid, sampler: str = SAMPLER_WINDOW,
+                    threads: int = 1) -> CoverageCurve:
+    """Monte Carlo coverage curve of the dominant-plus-tail estimator.
+
+    Each trial draws one geometry (window or direct sampler), shares it
+    across every threshold, and accumulates the conditional coverage values.
+    Window trials with fewer than ``interferer_total`` points are skipped and
+    reported via ``trials_used``.
+    """
+    K, N = settings.dominant_count, settings.interferer_total
+    t_linear = grid.thresholds_linear
+    lam, sig2, eta = cfg.bs_density, cfg.noise_power, cfg.pathloss_exponent
+
+    def values(rows, trials):
+        D = np.vstack(rows)
+        s = t_linear[None, :] * _pow_eta(D[:, 0], eta)[:, None]
+        return _hybrid_trial_values(D, s, K, N, lam, sig2, eta,
+                                    settings.quad_abs_tol)
+
+    def stderr(mean, sumsq, used):
+        if used == 1:
+            return np.zeros(len(grid))
         var = np.maximum(0.0, (sumsq - used * mean * mean) / (used - 1))
-        stderr = np.sqrt(var / used)
-    else:
-        stderr = np.zeros(len(grid))
-    return CoverageCurve(
-        method=METHOD_HYBRID, eta=eta, interferer_total=N, dominant_count=K,
-        thresholds_db=grid.thresholds_db, thresholds_linear=t_linear,
-        estimates=mean, stderrs=stderr,
-        trials_used=np.full(len(grid), used, dtype=int),
-    )
+        return np.sqrt(var / used)
+
+    return _monte_carlo_curve(METHOD_HYBRID, cfg, settings, grid, sampler,
+                              threads, values, stderr)
 
 
 def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
@@ -327,54 +356,27 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
     contribute; ``include_all_window_points`` widens the sum to every window
     point to approximate the infinite-network target instead.
     """
-    N = settings.interferer_total
-    _check_window_feasible(cfg, N)
     t_linear = grid.thresholds_linear
     eta, sig2 = cfg.pathloss_exponent, cfg.noise_power
 
-    def block(lo: int, hi: int):
-        successes = np.zeros(len(grid), dtype=np.int64)
-        used = 0
-        for m in range(lo, hi):
-            grng = streams.trial_stream(settings.seed,
-                                        streams.GEOMETRY_WINDOW, m)
-            if include_all_window_points:
-                real = sample_window_realization(cfg, grng)
-                if real.point_count < N:
-                    continue
-                d = real.distances
-            else:
-                total, d = nearest_window_distances(cfg, N, grng)
-                if total < N:
-                    continue
+    def values(rows, trials):
+        covered = np.empty((len(rows), len(grid)))
+        for j, (d, m) in enumerate(zip(rows, trials)):
             gains = streams.trial_stream(settings.seed, streams.FADING,
                                          m).standard_exponential(d.size)
             signal = gains[0] / _pow_eta(d[0], eta)
             interference = float((gains[1:] / _pow_eta(d[1:], eta)).sum())
             denom = interference + sig2
             sinr = signal / denom if denom > 0.0 else math.inf
-            successes += sinr > t_linear
-            used += 1
-        return successes, used
+            covered[j] = sinr > t_linear
+        return covered
 
-    successes = np.zeros(len(grid), dtype=np.int64)
-    used = 0
-    for part_succ, part_n in _map_blocks(block, settings.trials, threads):
-        successes += part_succ
-        used += part_n
-    if used == 0:
-        raise EstimatorError(
-            "no trial produced enough points for the empirical estimator"
-        )
-    p = successes / used
-    stderr = np.sqrt(p * (1.0 - p) / used)
-    return CoverageCurve(
-        method=METHOD_SIMULATION, eta=eta, interferer_total=N,
-        dominant_count=settings.dominant_count,
-        thresholds_db=grid.thresholds_db, thresholds_linear=t_linear,
-        estimates=p, stderrs=stderr,
-        trials_used=np.full(len(grid), used, dtype=int),
-    )
+    def stderr(p, sumsq, used):
+        return np.sqrt(p * (1.0 - p) / used)
+
+    return _monte_carlo_curve(METHOD_SIMULATION, cfg, settings, grid,
+                              SAMPLER_WINDOW, threads, values, stderr,
+                              include_all_window_points)
 
 
 def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
@@ -404,23 +406,21 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
             rr = np.asarray(r, dtype=float)
             flat = rr.ravel()
             s = t_lin * _pow_eta(flat, eta)
-            tails = tail_integral_batch(s, eta, flat,
-                                        np.full(flat.size, np.inf), inner_tol)
+            density = np.exp(-math.pi * lam * flat * flat)
+            # Where the serving density underflows, a node contributes 0
+            # whatever its tail, and doubles cannot resolve that tail to
+            # inner_tol, so it is not computed.
+            live = density > 0.0
+            tails = np.zeros(flat.size)
+            tails[live] = tail_integral_batch(s[live], eta, flat[live],
+                                              math.inf, inner_tol)
             out = (np.exp(-s * sig2 - 2.0 * math.pi * lam * tails)
-                   * 2.0 * math.pi * lam * flat
-                   * np.exp(-math.pi * lam * flat * flat))
+                   * 2.0 * math.pi * lam * flat * density)
             return out.reshape(rr.shape)
 
         value = integrate_adaptive(outer, 0.0, math.inf, outer_tol).value
         estimates[j] = min(1.0, max(0.0, value))
-    zeros = np.zeros(len(grid))
-    return CoverageCurve(
-        method=METHOD_SG, eta=eta, interferer_total=0, dominant_count=0,
-        thresholds_db=grid.thresholds_db,
-        thresholds_linear=grid.thresholds_linear,
-        estimates=estimates, stderrs=zeros,
-        trials_used=np.zeros(len(grid), dtype=int),
-    )
+    return _curve(METHOD_SG, eta, grid, estimates)
 
 
 def interference_moment_coefficient(i: int, bs_density: float) -> float:
@@ -504,13 +504,8 @@ def prob_model_coverage(params: ProbModelParams, cfg: NetworkConfig,
     sigma0 = params.sigma0_sq
     estimates = (np.exp(-t_lin * mu_u_sq / (sigma0 + 2.0 * t_lin * sigma_u_sq))
                  / np.sqrt(1.0 + 2.0 * t_lin * sigma_u_sq / sigma0))
-    return CoverageCurve(
-        method=METHOD_PROBABILISTIC, eta=cfg.pathloss_exponent,
-        interferer_total=params.interferer_total, dominant_count=0,
-        thresholds_db=grid.thresholds_db, thresholds_linear=t_lin,
-        estimates=estimates, stderrs=np.zeros(len(grid)),
-        trials_used=np.zeros(len(grid), dtype=int),
-    )
+    return _curve(METHOD_PROBABILISTIC, cfg.pathloss_exponent, grid,
+                  estimates, interferer_total=params.interferer_total)
 
 
 def with_combo(curve: CoverageCurve, interferer_total: int,

@@ -64,41 +64,25 @@ class PppRealization:
             raise ValueError("distances must be sorted ascending")
 
 
-def sample_window_realization(
-    cfg: NetworkConfig, rng: np.random.Generator
-) -> PppRealization:
+def nearest_window_distances(
+    cfg: NetworkConfig, count: int | None, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
     """Draw one realization on the [-L, L]^2 window.
 
-    The point count is Poisson(bs_density * (2L)^2), locations are uniform on
-    the window, and the returned distances are sorted ascending.  An empty
-    draw yields an empty distance list; callers decide how to handle
-    realizations with fewer points than they need.
-    """
-    count = int(rng.poisson(cfg.expected_window_count))
-    if count == 0:
-        return PppRealization(distances=np.empty(0), point_count=0)
-    pts = rng.uniform(-cfg.half_width, cfg.half_width, size=(count, 2))
-    sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    sq.sort()
-    return PppRealization(distances=np.sqrt(sq), point_count=count)
-
-
-def nearest_window_distances(
-    cfg: NetworkConfig, count: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Fast path: total window count plus the sorted ``count`` nearest distances.
-
-    Consumes the stream exactly like :func:`sample_window_realization` and
-    returns bit-identical leading distances; only the sorting is truncated.
-    If the realization holds fewer than ``count`` points, all of them are
-    returned and the caller sees the shortfall via the returned total.
+    The point count is Poisson(bs_density * (2L)^2) and locations are uniform
+    on the window.  Returns the total point count and the ``count`` nearest
+    distances sorted ascending, or every distance when ``count`` is None.  If
+    the realization holds fewer than ``count`` points, all of them are
+    returned and the caller sees the shortfall via the returned total.  The
+    stream is consumed the same way for every ``count``, so the leading
+    distances do not depend on it.
     """
     total = int(rng.poisson(cfg.expected_window_count))
     if total == 0:
         return 0, np.empty(0)
     pts = rng.uniform(-cfg.half_width, cfg.half_width, size=(total, 2))
     sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    if total > count:
+    if count is not None and total > count:
         sq = np.partition(sq, count - 1)[:count]
     sq.sort()
     return total, np.sqrt(sq)

@@ -188,12 +188,8 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
             return np.asarray(f(x), dtype=float)
         lo, hi = np.array([float(a)]), np.array([float(b)])
 
-    try:
-        vals, errs = _adaptive_batch(fun, lo, hi, abs_tol, max_rounds,
-                                     max_segments)
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), float(np.atleast_1d(exc.estimate)[0]),
-                              float(np.atleast_1d(exc.error_bound)[0])) from None
+    vals, errs = _adaptive_batch(fun, lo, hi, abs_tol, max_rounds,
+                                 max_segments)
     return Integral1D(float(a), float(b), abs_tol, float(vals[0]),
                       float(errs[0]))
 
@@ -321,22 +317,3 @@ def tail_integral_batch(s, eta: float, a, b,
 
     return out.reshape(shape)
 
-
-def tail_integral_closed_form(s: float, eta: float, a: float,
-                              b: float) -> float:
-    """Antiderivative-based tail integral for eta in {2, 4} (test oracle).
-
-    eta=4: (sqrt(s)/2) * [arctan(t^2/sqrt(s))] evaluated a..b, with
-    arctan(inf) = pi/2.  eta=2: (s/2) * [ln(t^2 + s)] a..b, finite b only.
-    """
-    if eta not in (2.0, 4.0):
-        raise ValueError(f"closed form available only for eta in {{2, 4}}, "
-                         f"got {eta}")
-    _check_tail_args(s, eta, a, b)
-    if s == 0.0 or a == b:
-        return 0.0
-    if eta == 4.0:
-        rs = math.sqrt(s)
-        hi = math.pi / 2.0 if math.isinf(b) else math.atan(b * b / rs)
-        return 0.5 * rs * (hi - math.atan(a * a / rs))
-    return 0.5 * s * (math.log(b * b + s) - math.log(a * a + s))

@@ -20,8 +20,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def window_prefix_draws():
     """10^4 window realizations at density 1, L=40: counts + first 5 distances.
 
-    Shared by the distribution tests; drawing the full realizations once
-    keeps the suite fast while every consumer sees the same sample.
+    Shared by the distribution tests; drawing the realizations once keeps
+    the suite fast while every consumer sees the same sample.
     """
     cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                            noise_power=0.1, half_width=40.0)
@@ -30,10 +30,8 @@ def window_prefix_draws():
     counts = np.empty(n, dtype=int)
     first5 = np.full((n, 5), np.nan)
     for m in range(n):
-        real = sc.sample_window_realization(cfg, rng)
-        counts[m] = real.point_count
-        k = min(5, real.point_count)
-        first5[m, :k] = real.distances[:k]
+        counts[m], d = sc.nearest_window_distances(cfg, 5, rng)
+        first5[m, :d.size] = d
     return counts, first5
 
 

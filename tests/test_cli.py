@@ -118,6 +118,20 @@ class TestRunSweep:
                            match=r"method=probabilistic, N=10"):
             run_sweep(spec)
 
+    def test_failure_keeps_type_and_payload(self, monkeypatch):
+        estimate, bound = np.array([0.5, 0.6]), np.array([1e-3, 2e-3])
+
+        def failing_sg(*args, **kwargs):
+            raise sc.QuadratureError("budget", estimate, bound)
+
+        monkeypatch.setattr("sinrcov.cli.sg_coverage", failing_sg)
+        spec = parse_args(["--methods", "sg", "--N", "10", "--K", "4"])
+        with pytest.raises(sc.QuadratureError,
+                           match=r"budget \[method=sg, N=10, K=4\]") as info:
+            run_sweep(spec)
+        assert info.value.estimate is estimate
+        assert info.value.error_bound is bound
+
 
 class TestWriteCsv:
     HEADER = CSV_HEADER

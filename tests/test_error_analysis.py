@@ -43,6 +43,20 @@ class TestTailTruncationError:
             assert sc.tail_truncation_error(s, 2 * radius, 1.0, eta) <= d
             assert sc.tail_truncation_error(s, radius, 2.0, eta) >= d
 
+    def test_array_forms_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        s = 10 ** rng.uniform(-2, 2, 30)
+        radius = rng.uniform(0.2, 8.0, 30)
+        delta = sc.tail_truncation_error(s, radius, 1.0, 3.0, 1e-10)
+        bound = sc.tail_truncation_error_bound(s, radius, 1.0, 3.0)
+        assert delta.shape == bound.shape == (30,)
+        for i in range(30):
+            assert delta[i] == pytest.approx(
+                sc.tail_truncation_error(s[i], radius[i], 1.0, 3.0, 1e-10),
+                abs=1e-9)
+            assert bound[i] == sc.tail_truncation_error_bound(
+                s[i], radius[i], 1.0, 3.0)
+
 
 class TestTailTruncationErrorBound:
     def test_zero_s(self):

@@ -8,6 +8,8 @@ import sinrcov as sc
 from sinrcov import streams
 from sinrcov.estimators import ModelValidityError
 
+from oracles import tail_integral_closed_form
+
 CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                        noise_power=0.1, half_width=40.0)
 GRID = sc.ThresholdGrid.from_db_range(-20, 20, 2)
@@ -58,7 +60,7 @@ class TestHybridSampleValue:
         # distances [0.5, 1, 2], T=1, eta=4 -> s = 0.0625; compose the
         # expected value from the closed-form tail piece.
         s = 0.0625
-        tail = sc.tail_integral_closed_form(s, 4.0, 1.0, 2.0)
+        tail = tail_integral_closed_form(s, 4.0, 1.0, 2.0)
         expected = (math.exp(-s * 0.1) * (1.0 / (1.0 + s))
                     * math.exp(-2.0 * math.pi * tail))
         got = sc.hybrid_sample_value(s, [0.5, 1.0, 2.0], 2, 3, 1.0, 0.1, 4.0,
@@ -78,7 +80,7 @@ class TestHybridSampleValue:
     def test_k1_tail_spans_whole_annulus(self):
         d = np.array([0.6, 1.1, 1.9])
         s = 0.3
-        tail = sc.tail_integral_closed_form(s, 4.0, 0.6, 1.9)
+        tail = tail_integral_closed_form(s, 4.0, 0.6, 1.9)
         expected = math.exp(-s * 0.1) * math.exp(-2.0 * math.pi * tail)
         got = sc.hybrid_sample_value(s, d, 1, 3, 1.0, 0.1, 4.0,
                                      quad_abs_tol=1e-10)
@@ -268,6 +270,59 @@ class TestSgCoverage:
         a = sc.sg_coverage(CFG, GRID)
         b = sc.sg_coverage(CFG, GRID)
         np.testing.assert_array_equal(a.estimates, b.estimates)
+
+    @pytest.mark.parametrize("eta", [3.0, 3.4142, 4.0])
+    def test_tight_tolerance_reachable(self, eta):
+        # Outer nodes where the serving density underflows must not ask
+        # their inner tail for an accuracy doubles cannot reach.
+        cfg = sc.NetworkConfig(pathloss_exponent=eta)
+        curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=1e-9)
+        assert np.all(np.diff(curve.estimates) < 0.0)
+
+    def test_closed_form_at_tight_tolerance(self):
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
+                               noise_power=0.0)
+        grid = sc.ThresholdGrid.from_linear_values([0.1, 1.0])
+        curve = sc.sg_coverage(cfg, grid, quad_abs_tol=1e-10)
+        t = grid.thresholds_linear
+        closed = 1.0 / (1.0 + np.sqrt(t) * np.arctan(np.sqrt(t)))
+        np.testing.assert_allclose(curve.estimates, closed, rtol=0,
+                                   atol=1e-10)
+
+
+class TestDensityScaling:
+    """coverage(lam, sigma^2) == coverage(1, sigma^2 * lam**(-eta/2)).
+
+    Under the direct sampler distances scale by lam**(-1/2) draw for draw,
+    so the two sides agree to rounding, not just within Monte Carlo error.
+    """
+
+    @staticmethod
+    def _pair(lam, eta):
+        scaled = sc.NetworkConfig(bs_density=lam, pathloss_exponent=eta,
+                                  noise_power=0.1)
+        unit = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
+                                noise_power=0.1 * lam ** (-eta / 2.0))
+        return scaled, unit
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    @pytest.mark.parametrize("eta", [3.4142, 4.0])
+    def test_hybrid(self, lam, eta):
+        scaled, unit = self._pair(lam, eta)
+        st = sc.EstimatorSettings(dominant_count=3, interferer_total=8,
+                                  trials=3000, seed=12)
+        a = sc.hybrid_coverage(scaled, st, GRID, sampler="direct")
+        b = sc.hybrid_coverage(unit, st, GRID, sampler="direct")
+        np.testing.assert_allclose(a.estimates, b.estimates, rtol=0,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    @pytest.mark.parametrize("eta", [3.4142, 4.0])
+    def test_sg(self, lam, eta):
+        scaled, unit = self._pair(lam, eta)
+        np.testing.assert_allclose(sc.sg_coverage(scaled, GRID).estimates,
+                                   sc.sg_coverage(unit, GRID).estimates,
+                                   rtol=0, atol=1e-6)
 
 
 def _moment_coefficient_reference(i: int) -> float:

@@ -49,19 +49,19 @@ class TestWindowSampler:
     def test_vanishing_density_yields_empty_draw(self):
         cfg = sc.NetworkConfig(bs_density=1e-12, half_width=1.0)
         rng = np.random.default_rng(1)
-        real = sc.sample_window_realization(cfg, rng)
-        assert real.point_count == 0
-        assert real.distances.size == 0
+        total, distances = sc.nearest_window_distances(cfg, None, rng)
+        assert total == 0
+        assert distances.size == 0
 
     def test_prefix_path_matches_full_sampler(self):
         cfg = sc.NetworkConfig()
         for m in range(5):
-            full = sc.sample_window_realization(
-                cfg, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
+            total_all, full = sc.nearest_window_distances(
+                cfg, None, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
             total, prefix = sc.nearest_window_distances(
                 cfg, 12, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
-            assert total == full.point_count
-            np.testing.assert_array_equal(prefix, full.distances[:12])
+            assert total == total_all == full.size
+            np.testing.assert_array_equal(prefix, full[:12])
 
     def test_serving_sq_distance_is_exponential(self, window_prefix_draws):
         _, first5 = window_prefix_draws

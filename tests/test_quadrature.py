@@ -7,6 +7,8 @@ from scipy import integrate as scipy_integrate
 import sinrcov as sc
 from sinrcov.quadrature import QuadratureError
 
+from oracles import tail_integral_closed_form
+
 
 class TestIntegrateAdaptive:
     def test_zero_function(self):
@@ -59,6 +61,17 @@ class TestIntegrateAdaptive:
         assert isinstance(err.estimate, float)
         assert err.error_bound > 1e-13
         assert abs(err.estimate - ref) <= err.error_bound
+
+    def test_integrand_failure_propagates_unchanged(self):
+        inner = QuadratureError("inner", np.array([0.1, 0.2]),
+                                np.array([1e-3, 1e-4]))
+
+        def f(t):
+            raise inner
+
+        with pytest.raises(QuadratureError) as excinfo:
+            sc.integrate_adaptive(f, 0.0, 1.0, 1e-6)
+        assert excinfo.value is inner
 
 
 class TestTailIntegrand:
@@ -121,7 +134,7 @@ class TestTailIntegral:
             b = a + rng.uniform(0.01, 10.0)
             for eta in (2.0, 4.0):
                 got = sc.tail_integral(s, eta, a, b, 1e-9)
-                want = sc.tail_integral_closed_form(s, eta, a, b)
+                want = tail_integral_closed_form(s, eta, a, b)
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
@@ -131,7 +144,7 @@ class TestTailIntegral:
             s = 10 ** rng.uniform(-3, 3)
             a = rng.uniform(0.05, 5.0)
             got = sc.tail_integral(s, 4.0, a, math.inf, 1e-9)
-            want = sc.tail_integral_closed_form(s, 4.0, a, math.inf)
+            want = tail_integral_closed_form(s, 4.0, a, math.inf)
             assert got == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("eta", [2.5, 3.0, 3.4142])
@@ -198,22 +211,22 @@ class TestTailIntegralBatch:
 
 class TestTailIntegralClosedForm:
     def test_zero_s(self):
-        assert sc.tail_integral_closed_form(0.0, 4.0, 1.0, 2.0) == 0.0
+        assert tail_integral_closed_form(0.0, 4.0, 1.0, 2.0) == 0.0
 
     def test_eta4_value(self):
-        got = sc.tail_integral_closed_form(0.0625, 4.0, 1.0, 2.0)
+        got = tail_integral_closed_form(0.0625, 4.0, 1.0, 2.0)
         want = 0.125 * (math.atan(16.0) - math.atan(4.0))
         assert got == pytest.approx(want, abs=1e-15)
         assert got == pytest.approx(0.0228200, abs=5e-8)
 
     def test_eta2_value(self):
-        got = sc.tail_integral_closed_form(1.0, 2.0, 0.0, 1.0)
+        got = tail_integral_closed_form(1.0, 2.0, 0.0, 1.0)
         assert got == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
 
     def test_rejects_unsupported_eta(self):
         with pytest.raises(ValueError):
-            sc.tail_integral_closed_form(1.0, 3.0, 0.0, 1.0)
+            tail_integral_closed_form(1.0, 3.0, 0.0, 1.0)
 
     def test_rejects_eta2_infinite_upper(self):
         with pytest.raises(ValueError):
-            sc.tail_integral_closed_form(1.0, 2.0, 0.0, math.inf)
+            tail_integral_closed_form(1.0, 2.0, 0.0, math.inf)
