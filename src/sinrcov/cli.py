@@ -23,6 +23,7 @@ from .estimators import (
     EstimatorSettings,
     ProbModelParams,
     ThresholdGrid,
+    _check_window_feasible,
     empirical_coverage,
     hybrid_coverage,
     prob_model_coverage,
@@ -126,44 +127,13 @@ def parse_args(argv=None) -> SweepSpec:
                          f"{', '.join(_ALL_METHODS)}")
     methods = tuple(sorted(set(methods)))
 
-    try:
-        network = NetworkConfig(
-            bs_density=args.bs_density,
-            pathloss_exponent=args.eta,
-            noise_power=args.noise,
-            half_width=args.half_width,
-        )
-        grid = ThresholdGrid.from_db_range(args.tmin_db, args.tmax_db,
-                                           args.tstep_db)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    if args.trials < 1:
-        parser.error(f"--trials must be >= 1, got {args.trials}")
-    if not args.quad_tol > 0:
-        parser.error(f"--quad-tol must be > 0, got {args.quad_tol}")
-    if not 0 <= args.seed < 2**64:
-        parser.error("--seed must be a 64-bit unsigned integer")
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
-
-    n_list = tuple(sorted(set(args.N)))
-    k_list = tuple(sorted(set(args.K)))
-    if min(n_list) < 1 or min(k_list) < 1:
-        parser.error("--N and --K values must be >= 1")
-    bad = [(n, k) for n in n_list for k in k_list if k > n]
-    if bad:
-        parser.error(
-            f"every K must be <= every swept N; violated by (N, K) pairs "
-            f"{bad}"
-        )
-
     if METHOD_SG in methods and args.eta <= 2.0:
         parser.error(
             f"method 'sg' requires --eta > 2 (infinite-network integral "
             f"diverges otherwise); got eta={args.eta}"
         )
-    if METHOD_PROBABILISTIC in methods:
+    probabilistic = METHOD_PROBABILISTIC in methods
+    if probabilistic:
         missing = [flag for flag, val in (("--mu-S", args.mu_s),
                                           ("--sigma-S-sq", args.sigma_s_sq),
                                           ("--sigma0-sq", args.sigma0_sq))
@@ -177,17 +147,34 @@ def parse_args(argv=None) -> SweepSpec:
                 f"method 'probabilistic' is defined only for --eta 4; got "
                 f"eta={args.eta}"
             )
-        if min(n_list) < 2:
-            parser.error("method 'probabilistic' requires --N >= 2")
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
 
-    needs_window = METHOD_SIMULATION in methods or (
-        METHOD_HYBRID in methods and args.sampler == SAMPLER_WINDOW)
-    if needs_window and network.expected_window_count < max(n_list):
-        parser.error(
-            f"expected window point count "
-            f"{network.expected_window_count:.2f} is below the largest "
-            f"requested N={max(n_list)}; increase --half-width or --lambda"
+    n_list = tuple(sorted(set(args.N)))
+    k_list = tuple(sorted(set(args.K)))
+    # The estimators' own input rules decide what is a usage error.
+    try:
+        network = NetworkConfig(
+            bs_density=args.bs_density,
+            pathloss_exponent=args.eta,
+            noise_power=args.noise,
+            half_width=args.half_width,
         )
+        grid = ThresholdGrid.from_db_range(args.tmin_db, args.tmax_db,
+                                           args.tstep_db)
+        for n in n_list:
+            for k in k_list:
+                EstimatorSettings(dominant_count=k, interferer_total=n,
+                                  trials=args.trials,
+                                  quad_abs_tol=args.quad_tol, seed=args.seed)
+            if probabilistic:
+                ProbModelParams(mu_s=args.mu_s, sigma_s_sq=args.sigma_s_sq,
+                                sigma0_sq=args.sigma0_sq, interferer_total=n)
+        if METHOD_SIMULATION in methods or (
+                METHOD_HYBRID in methods and args.sampler == SAMPLER_WINDOW):
+            _check_window_feasible(network, max(n_list))
+    except ValueError as exc:
+        parser.error(str(exc))
 
     return SweepSpec(
         network=network, grid=grid, methods=methods, n_list=n_list,

@@ -34,8 +34,9 @@ from .geometry import (
 )
 from .quadrature import (
     DEFAULT_ABS_TOL,
+    _adaptive_batch,
     _pow_eta,
-    integrate_adaptive,
+    _unit_interval,
     tail_integral_batch,
 )
 
@@ -81,7 +82,8 @@ class EstimatorSettings:
         if not self.quad_abs_tol > 0:
             raise ValueError(f"quad_abs_tol must be > 0, got {self.quad_abs_tol}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer")
+            raise ValueError(
+                f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,9 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     Averages exp(-s*sigma^2) * exp(-2*pi*lam * tail(s, r, inf)) over the
     serving-distance density with s = T * r**eta.  Deterministic; the inner
     tail tolerance is budgeted so the combined error stays below
-    ``quad_abs_tol``.  Only defined for pathloss exponents above 2.
+    ``quad_abs_tol``.  All thresholds form one batched outer integral, and
+    each threshold's value is the one it gets alone.  Only defined for
+    pathloss exponents above 2.
     """
     eta = cfg.pathloss_exponent
     if eta <= 2.0:
@@ -398,28 +402,25 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
         raise ValueError(f"quad_abs_tol must be > 0, got {quad_abs_tol}")
     lam, sig2 = cfg.bs_density, cfg.noise_power
     inner_tol = quad_abs_tol / (8.0 * math.pi * lam)
-    outer_tol = 0.5 * quad_abs_tol
-    estimates = np.empty(len(grid))
-    for j, t_lin in enumerate(grid.thresholds_linear):
+    t_lin = grid.thresholds_linear
 
-        def outer(r):
-            rr = np.asarray(r, dtype=float)
-            flat = rr.ravel()
-            s = t_lin * _pow_eta(flat, eta)
-            density = np.exp(-math.pi * lam * flat * flat)
-            # Where the serving density underflows, a node contributes 0
-            # whatever its tail, and doubles cannot resolve that tail to
-            # inner_tol, so it is not computed.
-            live = density > 0.0
-            tails = np.zeros(flat.size)
-            tails[live] = tail_integral_batch(s[live], eta, flat[live],
-                                              math.inf, inner_tol)
-            out = (np.exp(-s * sig2 - 2.0 * math.pi * lam * tails)
-                   * 2.0 * math.pi * lam * flat * density)
-            return out.reshape(rr.shape)
+    def outer(r, owner):
+        s = t_lin[owner][:, None] * _pow_eta(r, eta)
+        density = np.exp(-math.pi * lam * r * r)
+        # Where the serving density underflows, a node contributes 0
+        # whatever its tail, and doubles cannot resolve that tail to
+        # inner_tol, so it is not computed.
+        live = density > 0.0
+        tails = np.zeros(r.shape)
+        tails[live] = tail_integral_batch(s[live], eta, r[live], math.inf,
+                                          inner_tol)
+        return (np.exp(-s * sig2 - 2.0 * math.pi * lam * tails)
+                * 2.0 * math.pi * lam * r * density)
 
-        value = integrate_adaptive(outer, 0.0, math.inf, outer_tol).value
-        estimates[j] = min(1.0, max(0.0, value))
+    values, _ = _adaptive_batch(_unit_interval(outer, 0.0),
+                                np.zeros(len(grid)), np.ones(len(grid)),
+                                0.5 * quad_abs_tol)
+    estimates = np.clip(values, 0.0, 1.0)
     return _curve(METHOD_SG, eta, grid, estimates)
 
 

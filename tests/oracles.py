@@ -1,6 +1,8 @@
 """Closed-form oracles the tests check the library against."""
 import math
 
+from scipy import integrate
+
 from sinrcov.quadrature import _check_tail_args
 
 
@@ -22,3 +24,20 @@ def tail_integral_closed_form(s: float, eta: float, a: float,
         hi = math.pi / 2.0 if math.isinf(b) else math.atan(b * b / rs)
         return 0.5 * rs * (hi - math.atan(a * a / rs))
     return 0.5 * s * (math.log(b * b + s) - math.log(a * a + s))
+
+
+def sg_eta4_coverage(t: float, lam: float, noise: float) -> float:
+    """Infinite-network coverage at eta=4 by its 1-D reduction (test oracle).
+
+    The tail exponent has the closed form pi*lam*r^2*rho(T) with
+    rho(T) = sqrt(T)*(pi/2 - atan(1/sqrt(T))) (Andrews, Baccelli and Ganti,
+    IEEE TCOM 2011), which leaves
+    int 2*pi*lam*r * exp(-pi*lam*r^2*(1 + rho) - T*r^4*noise) dr over r >= 0,
+    integrated here in u = r^2 by scipy's QUADPACK.
+    """
+    rt = math.sqrt(t)
+    rate = math.pi * lam * (1.0 + rt * (math.pi / 2.0 - math.atan(1.0 / rt)))
+    value, _ = integrate.quad(
+        lambda u: math.pi * lam * math.exp(-rate * u - t * noise * u * u),
+        0.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=400)
+    return value

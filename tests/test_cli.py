@@ -47,6 +47,12 @@ class TestParseArgs:
         ["--methods", "probabilistic", "--mu-S", "1.0"],     # still missing
         ["--methods", "probabilistic", "--eta", "3", "--mu-S", "1",
          "--sigma-S-sq", "0.1", "--sigma0-sq", "1"],          # wrong eta
+        ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
+         "0.05", "--sigma0-sq", "-1"],                        # sigma0 < 0
+        ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
+         "0.05", "--sigma0-sq", "0"],                         # sigma0 = 0
+        ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
+         "-0.5", "--sigma0-sq", "1"],                         # sigma-S < 0
         ["--methods", ""],
         ["--methods", "hybrid,unknown"],
         ["--N", "5", "--K", "8"],                             # K above N

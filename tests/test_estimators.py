@@ -8,7 +8,7 @@ import sinrcov as sc
 from sinrcov import streams
 from sinrcov.estimators import ModelValidityError
 
-from oracles import tail_integral_closed_form
+from oracles import sg_eta4_coverage, tail_integral_closed_form
 
 CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                        noise_power=0.1, half_width=40.0)
@@ -280,14 +280,29 @@ class TestSgCoverage:
         assert np.all(np.diff(curve.estimates) < 0.0)
 
     def test_closed_form_at_tight_tolerance(self):
+        # Exponent 4 only: at 1e-10 some inner tails of exponents 3 and
+        # 3.4142 still miss their share of the tolerance and raise.
         cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                                noise_power=0.0)
-        grid = sc.ThresholdGrid.from_linear_values([0.1, 1.0])
-        curve = sc.sg_coverage(cfg, grid, quad_abs_tol=1e-10)
-        t = grid.thresholds_linear
+        curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=1e-10)
+        t = GRID.thresholds_linear
         closed = 1.0 / (1.0 + np.sqrt(t) * np.arctan(np.sqrt(t)))
         np.testing.assert_allclose(curve.estimates, closed, rtol=0,
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_noisy_eta4_one_dimensional_reduction(self, tol):
+        curve = sc.sg_coverage(CFG, GRID, quad_abs_tol=tol)
+        exact = [sg_eta4_coverage(t, CFG.bs_density, CFG.noise_power)
+                 for t in GRID.thresholds_linear]
+        np.testing.assert_allclose(curve.estimates, exact, rtol=0, atol=tol)
+
+    def test_value_does_not_depend_on_grid(self):
+        curve = sc.sg_coverage(CFG, GRID)
+        for j, t_db in enumerate(GRID.thresholds_db):
+            single = sc.ThresholdGrid.from_db_values([t_db])
+            alone = sc.sg_coverage(CFG, single)
+            assert alone.estimates[0] == curve.estimates[j]
 
 
 class TestDensityScaling:

@@ -181,20 +181,36 @@ class TestTailIntegral:
             assert base >= 0.0
 
 
+def _mixed_batch():
+    """500 tail integrals: finite, infinite, zero-s and zero-width ones."""
+    rng = np.random.default_rng(42)
+    n = 500
+    s = 10 ** rng.uniform(-3, 3, n)
+    a = rng.uniform(0.0, 5.0, n)
+    b = a + rng.uniform(0.0, 10.0, n)
+    b[::11] = np.inf
+    s[::13] = 0.0
+    b[::17] = a[::17]
+    return s, a, b
+
+
 class TestTailIntegralBatch:
     def test_matches_scalar_on_mixed_batch(self):
-        rng = np.random.default_rng(42)
-        n = 500
-        s = 10 ** rng.uniform(-3, 3, n)
-        a = rng.uniform(0.0, 5.0, n)
-        b = a + rng.uniform(0.0, 10.0, n)
-        b[::11] = np.inf
-        s[::13] = 0.0
-        b[::17] = a[::17]
+        s, a, b = _mixed_batch()
         batch = sc.tail_integral_batch(s, 4.0, a, b, 1e-9)
-        for i in range(0, n, 7):
+        for i in range(0, s.size, 7):
             scalar = sc.tail_integral(s[i], 4.0, a[i], b[i], 1e-9)
             assert batch[i] == pytest.approx(scalar, abs=3e-9)
+
+    @pytest.mark.parametrize("eta", [3.4142, 4.0])
+    def test_value_does_not_depend_on_batch(self, eta):
+        # Each element is refined and summed on its own, so sharing a batch
+        # with other integrals must not move a single bit.
+        s, a, b = _mixed_batch()
+        batch = sc.tail_integral_batch(s, eta, a, b, 1e-9)
+        alone = [sc.tail_integral(si, eta, ai, bi, 1e-9)
+                 for si, ai, bi in zip(s, a, b)]
+        np.testing.assert_array_equal(batch, alone)
 
     def test_preserves_shape(self):
         s = np.full((3, 4), 2.0)
