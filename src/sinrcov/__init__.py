@@ -17,7 +17,6 @@ from .estimators import (
     ThresholdGrid,
     empirical_coverage,
     hybrid_coverage,
-    hybrid_sample_value,
     interference_moment_coefficient,
     prob_model_coverage,
     sg_coverage,
@@ -30,9 +29,7 @@ from .geometry import (
     serving_distance_density,
 )
 from .quadrature import (
-    Integral1D,
     QuadratureError,
-    integrate_adaptive,
     tail_integral,
     tail_integral_batch,
     tail_integrand,
@@ -45,7 +42,6 @@ __all__ = [
     "CoverageCurve",
     "EstimatorError",
     "EstimatorSettings",
-    "Integral1D",
     "ModelValidityError",
     "NetworkConfig",
     "PppRealization",
@@ -57,8 +53,6 @@ __all__ = [
     "empirical_coverage",
     "expected_tail_truncation_error",
     "hybrid_coverage",
-    "hybrid_sample_value",
-    "integrate_adaptive",
     "interference_moment_coefficient",
     "nearest_window_distances",
     "prob_model_coverage",

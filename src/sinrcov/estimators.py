@@ -7,8 +7,9 @@ Four routes to the same curve of P(SINR > T) versus threshold:
   annulus enters through the exponential functional of the point process.
 * ``empirical_coverage`` - plain Monte Carlo over geometry and Rayleigh
   fading, counting threshold exceedances.
-* ``sg_coverage`` - deterministic nested quadrature for the infinite-network
-  limit (requires pathloss exponent > 2).
+* ``sg_coverage`` - deterministic quadrature for the infinite-network limit:
+  one far-field tail per threshold and one 1-D integral over the serving
+  distance (requires pathloss exponent > 2).
 * ``prob_model_coverage`` - closed-form Gaussian-moment approximation of the
   interference (pathloss exponent 4 only; moment inputs supplied by the
   caller).
@@ -194,39 +195,17 @@ def _map_blocks(fn, n_trials: int, threads: int):
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def hybrid_sample_value(s: float, distances, dominant_count: int,
-                        interferer_total: int, bs_density: float,
-                        noise_power: float, pathloss_exponent: float,
-                        quad_abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """Conditional coverage of one geometry draw at s = T * r**eta.
-
-    Multiplies the noise factor exp(-s*sigma^2), the exact fading average
-    1/(1 + s*R_i**-eta) over interferers 2..K, and the far-field factor
-    exp(-2*pi*lam * tail_integral(s, eta, R_K, R_N)).  With K == N the tail
-    factor is exactly 1; with K == 1 the dominant product is empty.
-    """
-    if not s >= 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    d = np.asarray(distances, dtype=float)
-    if not 1 <= dominant_count <= interferer_total:
-        raise ValueError(
-            f"need 1 <= dominant_count <= interferer_total, got "
-            f"K={dominant_count}, N={interferer_total}"
-        )
-    if d.size < interferer_total:
-        raise ValueError(
-            f"need at least {interferer_total} distances, got {d.size}"
-        )
-    vals = _hybrid_trial_values(d[None, :], np.array([[float(s)]]),
-                                dominant_count, interferer_total, bs_density,
-                                noise_power, pathloss_exponent, quad_abs_tol)
-    return float(vals[0, 0])
-
-
 def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
                          lam: float, sig2: float, eta: float,
                          quad_abs_tol: float) -> np.ndarray:
-    """Hybrid values of distance rows D at s of shape (trials, thresholds)."""
+    """Conditional coverage of distance rows D at s = T * r**eta.
+
+    ``s`` has shape (trials, thresholds).  Each value multiplies the noise
+    factor exp(-s*sigma^2), the exact fading average 1/(1 + s*R_i**-eta)
+    over interferers 2..K, and the far-field factor
+    exp(-2*pi*lam * tail_integral(s, eta, R_K, R_N)).  With K == N the tail
+    factor is exactly 1; with K == 1 the dominant product is empty.
+    """
     dominant = np.ones_like(s)
     for i in range(1, K):
         dominant /= 1.0 + s / _pow_eta(D[:, i], eta)[:, None]
@@ -383,14 +362,16 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
 
 def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
                 quad_abs_tol: float = DEFAULT_ABS_TOL) -> CoverageCurve:
-    """Infinite-network coverage via nested adaptive quadrature.
+    """Infinite-network coverage: one tail per threshold and a 1-D integral.
 
-    Averages exp(-s*sigma^2) * exp(-2*pi*lam * tail(s, r, inf)) over the
-    serving-distance density with s = T * r**eta.  Deterministic; the inner
-    tail tolerance is budgeted so the combined error stays below
-    ``quad_abs_tol``.  All thresholds form one batched outer integral, and
-    each threshold's value is the one it gets alone.  Only defined for
-    pathloss exponents above 2.
+    With t = r*x the far-field tail separates, tail(T*r**eta, r, inf) =
+    r**2 * I(T) with I(T) = tail(T, 1, inf), so with v = pi*lam*r**2 the
+    coverage is the integral over v >= 0 of
+    exp(-v*(1 + 2*I(T)) - T*sigma^2*r**eta) (Andrews, Baccelli and Ganti,
+    IEEE TCOM 2011, Theorem 2).  I(T) gets ``quad_abs_tol``/4 and the
+    v-integral ``quad_abs_tol``/2; |d sg / d I| <= 2 keeps the total within
+    ``quad_abs_tol``.  Each threshold's value is the one it gets alone.
+    Only defined for pathloss exponents above 2.
     """
     eta = cfg.pathloss_exponent
     if eta <= 2.0:
@@ -401,25 +382,19 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     if not quad_abs_tol > 0:
         raise ValueError(f"quad_abs_tol must be > 0, got {quad_abs_tol}")
     lam, sig2 = cfg.bs_density, cfg.noise_power
-    inner_tol = quad_abs_tol / (8.0 * math.pi * lam)
     t_lin = grid.thresholds_linear
+    n = len(grid)
+    rate = 1.0 + 2.0 * tail_integral_batch(t_lin, eta, np.ones(n), math.inf,
+                                           0.25 * quad_abs_tol)
+    noise = t_lin * sig2
 
-    def outer(r, owner):
-        s = t_lin[owner][:, None] * _pow_eta(r, eta)
-        density = np.exp(-math.pi * lam * r * r)
-        # Where the serving density underflows, a node contributes 0
-        # whatever its tail, and doubles cannot resolve that tail to
-        # inner_tol, so it is not computed.
-        live = density > 0.0
-        tails = np.zeros(r.shape)
-        tails[live] = tail_integral_batch(s[live], eta, r[live], math.inf,
-                                          inner_tol)
-        return (np.exp(-s * sig2 - 2.0 * math.pi * lam * tails)
-                * 2.0 * math.pi * lam * r * density)
+    def integrand(v, owner):
+        r = np.sqrt(v / (math.pi * lam))
+        return np.exp(-v * rate[owner][:, None]
+                      - noise[owner][:, None] * _pow_eta(r, eta))
 
-    values, _ = _adaptive_batch(_unit_interval(outer, 0.0),
-                                np.zeros(len(grid)), np.ones(len(grid)),
-                                0.5 * quad_abs_tol)
+    values, _ = _adaptive_batch(_unit_interval(integrand, 0.0), np.zeros(n),
+                                np.ones(n), 0.5 * quad_abs_tol)
     estimates = np.clip(values, 0.0, 1.0)
     return _curve(METHOD_SG, eta, grid, estimates)
 

@@ -7,18 +7,16 @@ until the summed error estimate meets the absolute tolerance.  A batched
 engine integrates many independent integrals of one family in lock-step,
 which keeps the per-trial tail factors of the Monte Carlo estimators cheap.
 
-For user-supplied integrands, infinite upper limits are mapped onto [0, 1)
-with t = a + v/(1-v); endpoints are never evaluated, so integrable endpoint
-behaviour is handled by subdivision.  The tail integral instead integrates
-up to a split point and sums the far tail analytically (see
-:func:`tail_integral_batch`), which keeps tight tolerances reachable for
-every exponent above 2.  Every integral of a batch is refined, stopped and
-summed on its own, so its value does not depend on what shares its batch.
+Integrals over [a, inf), such as the serving-distance average of the sg
+benchmark, are mapped onto [0, 1) with t = a + v/(1-v); endpoints are never
+evaluated, so integrable endpoint behaviour is handled by subdivision.  The
+tail integral instead integrates up to a split point and sums the far tail
+analytically (see :func:`tail_integral_batch`), which keeps tight
+tolerances reachable for every exponent above 2.  Every integral of a batch
+is refined, stopped and summed on its own, so its value does not depend on
+what shares its batch.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +51,14 @@ _G7_WEIGHTS = np.array([
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted before the tolerance was met.
 
-    Carries the best available estimate and its error bound (scalars for the
-    scalar driver, arrays for batched integrals).
+    Carries the best available estimate and its error bound, one array
+    element per integral of the batch.
     """
 
     def __init__(self, message: str, estimate, error_bound):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class Integral1D:
-    """Result of one adaptive integration; ``est_error <= abs_tol`` on success."""
-
-    lower: float
-    upper: float
-    abs_tol: float
-    value: float
-    est_error: float
 
 
 def _panel(fun, lo, hi, owner):
@@ -152,8 +139,8 @@ def _adaptive_batch(fun, lo, hi, abs_tol, max_rounds=_MAX_ROUNDS,
     raise QuadratureError(
         f"adaptive quadrature did not reach abs_tol={abs_tol:g} for {bad} of "
         f"{n} integral(s) within the subdivision budget",
-        estimate=best if n > 1 else float(best[0]),
-        error_bound=err if n > 1 else float(err[0]),
+        estimate=best,
+        error_bound=err,
     )
 
 
@@ -167,39 +154,6 @@ def _unit_interval(fun, a: float):
         om = np.where(safe, om, 1.0)
         return np.where(safe, fun(a + v / om, owner) / (om * om), 0.0)
     return mapped
-
-
-def integrate_adaptive(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
-                       max_rounds: int = _MAX_ROUNDS,
-                       max_segments: int = _MAX_SEGMENTS) -> Integral1D:
-    """Integrate ``f`` over [a, b] (b may be +inf) to an absolute tolerance.
-
-    ``f`` must accept numpy arrays and evaluate elementwise.  Infinite upper
-    limits are handled by the monotone substitution t = a + v/(1-v).  On
-    failure a :class:`QuadratureError` carries the best estimate.
-    """
-    if not abs_tol > 0:
-        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
-    if math.isinf(a) or math.isnan(a) or math.isnan(b):
-        raise ValueError(f"bad interval [{a}, {b}]")
-    if b < a:
-        raise ValueError(f"upper limit {b} below lower limit {a}")
-    if a == b:
-        return Integral1D(a, b, abs_tol, 0.0, 0.0)
-
-    def fun(x, owner):
-        return np.asarray(f(x), dtype=float)
-
-    if math.isinf(b):
-        fun = _unit_interval(fun, a)
-        lo, hi = np.array([0.0]), np.array([1.0])
-    else:
-        lo, hi = np.array([float(a)]), np.array([float(b)])
-
-    vals, errs = _adaptive_batch(fun, lo, hi, abs_tol, max_rounds,
-                                 max_segments)
-    return Integral1D(float(a), float(b), abs_tol, float(vals[0]),
-                      float(errs[0]))
 
 
 def _pow_eta(t, eta: float):

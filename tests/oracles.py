@@ -2,6 +2,7 @@
 import math
 
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from sinrcov.quadrature import _check_tail_args
 
@@ -41,3 +42,17 @@ def sg_eta4_coverage(t: float, lam: float, noise: float) -> float:
         lambda u: math.pi * lam * math.exp(-rate * u - t * noise * u * u),
         0.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=400)
     return value
+
+
+def sg_noise_free_coverage(t: float, eta: float) -> float:
+    """Noise-free infinite-network coverage for any eta > 2 (test oracle).
+
+    1/(1 + rho) with rho = (2T/(eta-2)) * 2F1(1, 1-2/eta; 2-2/eta; -T)
+    (Andrews, Baccelli and Ganti, IEEE TCOM 2011, Theorem 2), with the
+    hypergeometric function from scipy.
+    """
+    if not eta > 2.0:
+        raise ValueError(f"defined for eta > 2, got {eta}")
+    delta = 2.0 / eta
+    rho = (2.0 * t / (eta - 2.0)) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -t)
+    return 1.0 / (1.0 + rho)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,30 @@ def _tiny_args(out, extra=()):
     return ["--trials", "64", "--N", "4", "--K", "2", "--tmin-db", "-10",
             "--tmax-db", "10", "--tstep-db", "10", "--seed", "42",
             "--out", str(out), *extra]
+
+
+# Runs the CLI with the test-only packages made unimportable: a finder at
+# the head of sys.meta_path raises ImportError for any of them.
+_WITHOUT_TEST_ONLY_PACKAGES = """
+import sys
+
+class BlockTestOnly:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "mpmath", "hypothesis"):
+            raise ImportError(f"{name} is a test-only package")
+        return None
+
+sys.meta_path.insert(0, BlockTestOnly())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the import blocker did not block scipy")
+
+from sinrcov.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestParseArgs:
@@ -223,6 +252,19 @@ class TestMain:
         golden = (__import__("pathlib").Path(__file__).parent / "data"
                   / "golden_small.csv")
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_runtime_needs_only_numpy(self, tmp_path):
+        out = tmp_path / "numpy_only.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = _tiny_args(out, extra=["--methods", "hybrid,simulation,sg"])
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_TEST_ONLY_PACKAGES, *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
     def test_usage_error_exit_code(self):
         assert main(["--eta", "2", "--methods", "sg"]) == 2

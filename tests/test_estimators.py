@@ -6,9 +6,10 @@ import pytest
 
 import sinrcov as sc
 from sinrcov import streams
-from sinrcov.estimators import ModelValidityError
+from sinrcov.estimators import ModelValidityError, _hybrid_trial_values
 
-from oracles import sg_eta4_coverage, tail_integral_closed_form
+from oracles import (sg_eta4_coverage, sg_noise_free_coverage,
+                     tail_integral_closed_form)
 
 CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                        noise_power=0.1, half_width=40.0)
@@ -51,9 +52,17 @@ class TestEstimatorSettings:
             sc.EstimatorSettings(trials=0)
 
 
+def _sample_value(s, distances, K, N, quad_abs_tol=1e-6):
+    """Hybrid value of one geometry draw at density 1, noise 0.1, eta 4."""
+    d = np.asarray(distances, dtype=float)[None, :]
+    vals = _hybrid_trial_values(d, np.array([[s]]), K, N, 1.0, 0.1, 4.0,
+                                quad_abs_tol)
+    return float(vals[0, 0])
+
+
 class TestHybridSampleValue:
     def test_zero_s_gives_one(self):
-        v = sc.hybrid_sample_value(0.0, [0.5, 1.0, 2.0], 2, 3, 1.0, 0.1, 4.0)
+        v = _sample_value(0.0, [0.5, 1.0, 2.0], 2, 3)
         assert v == 1.0
 
     def test_worked_example(self):
@@ -63,8 +72,7 @@ class TestHybridSampleValue:
         tail = tail_integral_closed_form(s, 4.0, 1.0, 2.0)
         expected = (math.exp(-s * 0.1) * (1.0 / (1.0 + s))
                     * math.exp(-2.0 * math.pi * tail))
-        got = sc.hybrid_sample_value(s, [0.5, 1.0, 2.0], 2, 3, 1.0, 0.1, 4.0,
-                                     quad_abs_tol=1e-10)
+        got = _sample_value(s, [0.5, 1.0, 2.0], 2, 3, quad_abs_tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(0.8104, abs=5e-5)
 
@@ -74,7 +82,7 @@ class TestHybridSampleValue:
         manual = math.exp(-s * 0.1)
         for i in range(1, 5):
             manual /= 1.0 + s / d[i] ** 4
-        got = sc.hybrid_sample_value(s, d, 5, 5, 1.0, 0.1, 4.0)
+        got = _sample_value(s, d, 5, 5)
         assert got == pytest.approx(manual, abs=1e-15)
 
     def test_k1_tail_spans_whole_annulus(self):
@@ -82,13 +90,8 @@ class TestHybridSampleValue:
         s = 0.3
         tail = tail_integral_closed_form(s, 4.0, 0.6, 1.9)
         expected = math.exp(-s * 0.1) * math.exp(-2.0 * math.pi * tail)
-        got = sc.hybrid_sample_value(s, d, 1, 3, 1.0, 0.1, 4.0,
-                                     quad_abs_tol=1e-10)
+        got = _sample_value(s, d, 1, 3, quad_abs_tol=1e-10)
         assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_rejects_insufficient_distances(self):
-        with pytest.raises(ValueError):
-            sc.hybrid_sample_value(1.0, [0.5, 1.0], 2, 3, 1.0, 0.1, 4.0)
 
 
 class TestHybridCoverage:
@@ -273,24 +276,32 @@ class TestSgCoverage:
 
     @pytest.mark.parametrize("eta", [3.0, 3.4142, 4.0])
     def test_tight_tolerance_reachable(self, eta):
-        # Outer nodes where the serving density underflows must not ask
-        # their inner tail for an accuracy doubles cannot reach.
+        # Noise 0.1: one tail per threshold and one 1-D integral reach
+        # tolerances far below the default for every exponent.
         cfg = sc.NetworkConfig(pathloss_exponent=eta)
-        curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=1e-9)
-        assert np.all(np.diff(curve.estimates) < 0.0)
+        for tol in (1e-9, 1e-10):
+            curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=tol)
+            assert np.all(np.diff(curve.estimates) < 0.0)
 
-    def test_closed_form_at_tight_tolerance(self):
-        # Exponent 4 only: at 1e-10 some inner tails of exponents 3 and
-        # 3.4142 still miss their share of the tolerance and raise.
-        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
+    @pytest.mark.parametrize("eta", [3.0, 3.4142, 4.0])
+    def test_closed_form_at_tight_tolerance(self, eta):
+        # Noise-free coverage has the hypergeometric closed form at every
+        # exponent above 2.
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
                                noise_power=0.0)
         curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=1e-10)
-        t = GRID.thresholds_linear
-        closed = 1.0 / (1.0 + np.sqrt(t) * np.arctan(np.sqrt(t)))
+        closed = [sg_noise_free_coverage(t, eta)
+                  for t in GRID.thresholds_linear]
         np.testing.assert_allclose(curve.estimates, closed, rtol=0,
                                    atol=1e-10)
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_noise_free_oracle_matches_eta4_closed_form(self):
+        for t in GRID.thresholds_linear:
+            closed = 1.0 / (1.0 + math.sqrt(t) * math.atan(math.sqrt(t)))
+            assert sg_noise_free_coverage(t, 4.0) == pytest.approx(
+                closed, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10])
     def test_noisy_eta4_one_dimensional_reduction(self, tol):
         curve = sc.sg_coverage(CFG, GRID, quad_abs_tol=tol)
         exact = [sg_eta4_coverage(t, CFG.bs_density, CFG.noise_power)
