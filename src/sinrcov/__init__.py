@@ -26,7 +26,6 @@ from .geometry import (
     PppRealization,
     nearest_window_distances,
     sample_ordered_distances_direct,
-    serving_distance_density,
 )
 from .quadrature import (
     QuadratureError,
@@ -57,7 +56,6 @@ __all__ = [
     "nearest_window_distances",
     "prob_model_coverage",
     "sample_ordered_distances_direct",
-    "serving_distance_density",
     "sg_coverage",
     "tail_error_report",
     "tail_integral",

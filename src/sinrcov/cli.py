@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .estimators import (
     METHOD_HYBRID,
@@ -28,7 +28,6 @@ from .estimators import (
     hybrid_coverage,
     prob_model_coverage,
     sg_coverage,
-    with_combo,
 )
 from .geometry import NetworkConfig
 
@@ -235,7 +234,8 @@ def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
                     print(f"[sinrcov] {method} N={n} K={k}: done in "
                           f"{time.perf_counter() - start:.1f}s",
                           file=sys.stderr)
-                curves.append(with_combo(cache[key], n, k))
+                curves.append(replace(cache[key], interferer_total=n,
+                                      dominant_count=k))
     return curves
 
 

@@ -85,11 +85,21 @@ def tail_truncation_error_bound(s, boundary_radius, bs_density: float,
     return out if out.ndim else float(out)
 
 
-def _tail_error_samples(cfg: NetworkConfig, interferer_total: int,
-                        threshold: float, trials: int,
-                        rng: np.random.Generator,
-                        quad_abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (r, R_N) draws mapped to (error term, analytic bound) samples."""
+def _tail_error_stats(cfg: NetworkConfig, interferer_total: int,
+                      threshold: float, trials: int,
+                      rng: np.random.Generator,
+                      quad_abs_tol: float) -> tuple[float, float, float]:
+    """Mean and stderr of the tail error over ``trials`` joint (r, R_N)
+    draws, and the mean of its analytic bound over the same draws."""
+    _require_eta_above_2(cfg.pathloss_exponent)
+    if interferer_total < 2:
+        raise ValueError(
+            f"interferer_total must be >= 2, got {interferer_total}"
+        )
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     eta = cfg.pathloss_exponent
     lam = cfg.bs_density
     sq = rng.exponential(1.0 / (math.pi * lam),
@@ -97,8 +107,11 @@ def _tail_error_samples(cfg: NetworkConfig, interferer_total: int,
     r = np.sqrt(sq[:, 0])
     radius = np.sqrt(sq[:, -1])
     s = threshold * _pow_eta(r, eta)
-    return (tail_truncation_error(s, radius, lam, eta, quad_abs_tol),
-            tail_truncation_error_bound(s, radius, lam, eta))
+    delta = tail_truncation_error(s, radius, lam, eta, quad_abs_tol)
+    bound = tail_truncation_error_bound(s, radius, lam, eta)
+    return (float(delta.mean()),
+            float(delta.std(ddof=1) / math.sqrt(trials)),
+            float(bound.mean()))
 
 
 def expected_tail_truncation_error(cfg: NetworkConfig, interferer_total: int,
@@ -112,19 +125,8 @@ def expected_tail_truncation_error(cfg: NetworkConfig, interferer_total: int,
     (cumulative exponential squared-distance increments), i.e. the exact
     point-process law rather than a truncated window.
     """
-    _require_eta_above_2(cfg.pathloss_exponent)
-    if interferer_total < 2:
-        raise ValueError(
-            f"interferer_total must be >= 2, got {interferer_total}"
-        )
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    delta, _ = _tail_error_samples(cfg, interferer_total, threshold, trials,
-                                   rng, quad_abs_tol)
-    mean = float(delta.mean())
-    stderr = float(delta.std(ddof=1) / math.sqrt(trials))
+    mean, stderr, _ = _tail_error_stats(cfg, interferer_total, threshold,
+                                        trials, rng, quad_abs_tol)
     return mean, stderr
 
 
@@ -171,16 +173,13 @@ def tail_error_report(cfg: NetworkConfig, threshold: float,
     counts = tuple(int(n) for n in interferer_counts)
     if len(counts) < 3:
         raise ValueError("need at least 3 interferer counts for a rate fit")
-    means = np.empty(len(counts))
-    stderrs = np.empty(len(counts))
-    bounds = np.empty(len(counts))
-    for j, n in enumerate(counts):
-        rng = streams.trial_stream(seed, streams.TAIL_ERROR, j)
-        delta, bound = _tail_error_samples(cfg, n, threshold, trials, rng,
-                                           quad_abs_tol)
-        means[j] = delta.mean()
-        stderrs[j] = delta.std(ddof=1) / math.sqrt(trials)
-        bounds[j] = bound.mean()
+    stats = np.array([
+        _tail_error_stats(cfg, n, threshold, trials,
+                          streams.trial_stream(seed, streams.TAIL_ERROR, j),
+                          quad_abs_tol)
+        for j, n in enumerate(counts)
+    ])
+    means, stderrs, bounds = stats.T
     return TailErrorReport(
         interferer_counts=counts, delta_means=means, delta_stderrs=stderrs,
         analytic_bounds=bounds,

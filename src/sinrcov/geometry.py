@@ -104,16 +104,3 @@ def sample_ordered_distances_direct(
     sq = rng.exponential(1.0 / (math.pi * bs_density), size=count).cumsum()
     return PppRealization(distances=np.sqrt(sq), point_count=count)
 
-
-def serving_distance_density(r, bs_density: float):
-    """Density of the nearest-BS distance: 2*pi*lam*r*exp(-pi*lam*r^2).
-
-    Accepts scalars or arrays in ``r``; rejects negative radii.
-    """
-    if not bs_density > 0:
-        raise ValueError(f"bs_density must be > 0, got {bs_density}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be >= 0")
-    out = 2.0 * math.pi * bs_density * r * np.exp(-math.pi * bs_density * r * r)
-    return out if out.ndim else float(out)

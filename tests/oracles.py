@@ -1,6 +1,7 @@
 """Closed-form oracles the tests check the library against."""
 import math
 
+import numpy as np
 from scipy import integrate
 from scipy.special import hyp2f1
 
@@ -56,3 +57,44 @@ def sg_noise_free_coverage(t: float, eta: float) -> float:
     delta = 2.0 / eta
     rho = (2.0 * t / (eta - 2.0)) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -t)
     return 1.0 / (1.0 + rho)
+
+
+def serving_distance_density(r, bs_density: float):
+    """Density of the nearest-BS distance, 2*pi*lam*r*exp(-pi*lam*r^2).
+
+    Elementwise over scalars or arrays in ``r`` (test oracle).
+    """
+    r = np.asarray(r, dtype=float)
+    lam = bs_density
+    out = 2.0 * math.pi * lam * r * np.exp(-math.pi * lam * r * r)
+    return out if out.ndim else float(out)
+
+
+def expected_tail_error_exact(n: int, t: float, eta: float) -> float:
+    """E[delta_N(T)] as a 1-D integral over B = r^2/R_N^2 (test oracle).
+
+    B ~ Beta(1, N-1) is independent of G = pi*lam*R_N^2 ~ Gamma(N), and
+    t = r*x turns the far-field tail into r^2 * I_T(R_N/r) with
+    I_T(x) = int_x^inf T*t/(t^eta + T) dt (Andrews, Baccelli and Ganti, IEEE
+    TCOM 2011).  The Gamma MGF then gives
+    E[delta_N(T)] = 1 - int_0^1 (N-1)(1-b)^(N-2) (1 + 2b*I_T(b^-1/2))^-N db,
+    which does not depend on lam.  Both integrals use scipy's QUADPACK.
+    """
+    if not eta > 2.0:
+        raise ValueError(f"defined for eta > 2, got {eta}")
+
+    def tail(x):
+        value, _ = integrate.quad(lambda u: t * u / (u ** eta + t), x,
+                                  math.inf, epsabs=1e-14, epsrel=1e-12,
+                                  limit=200)
+        return value
+
+    def covered(b):
+        if b == 0.0:
+            return float(n - 1)
+        return ((n - 1) * (1.0 - b) ** (n - 2)
+                * (1.0 + 2.0 * b * tail(b ** -0.5)) ** -n)
+
+    value, _ = integrate.quad(covered, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10,
+                              limit=200)
+    return 1.0 - value

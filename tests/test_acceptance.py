@@ -5,6 +5,7 @@ The figure-matrix fixture is computed once and shared; with 5e4 trials per
 curve the full module takes a few minutes.
 """
 import math
+import os
 import sys
 import time
 
@@ -48,14 +49,17 @@ def figure_curves():
     """Hybrid/simulation curves for the full experiment matrix, plus the
     deterministic benchmark per exponent above 2."""
     curves = {}
+    # Any worker count gives the same bits (criterion 10).
+    threads = os.cpu_count() or 1
     combos = [(eta, n) for eta in (2.0, 3.0, 4.0) for n in (5, 10, 20)]
     combos.append((3.4142, 10))
     for eta, n in combos:
         cfg = _cfg(eta)
         start = time.perf_counter()
-        curves[("hyb", eta, n)] = sc.hybrid_coverage(cfg, _settings(n), GRID)
+        curves[("hyb", eta, n)] = sc.hybrid_coverage(cfg, _settings(n), GRID,
+                                                     threads=threads)
         curves[("sim", eta, n)] = sc.empirical_coverage(cfg, _settings(n),
-                                                        GRID)
+                                                        GRID, threads=threads)
         print(f"[acceptance] curves eta={eta} N={n}: "
               f"{time.perf_counter() - start:.1f}s", file=sys.stderr)
     for eta in (3.0, 3.4142, 4.0):

@@ -5,6 +5,8 @@ import pytest
 
 import sinrcov as sc
 
+from oracles import expected_tail_error_exact
+
 CFG4 = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                         noise_power=0.1, half_width=40.0)
 CFG3 = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.0,
@@ -111,6 +113,14 @@ class TestExpectedTailTruncationError:
         with pytest.raises(ValueError):
             sc.expected_tail_truncation_error(cfg2, 5, 1.0, 100, rng)
 
+    def test_matches_exact_expectation_off_unit_density(self):
+        # The expected tail error does not depend on the BS density.
+        cfg = sc.NetworkConfig(bs_density=3.7, pathloss_exponent=3.0)
+        mean, stderr = sc.expected_tail_truncation_error(
+            cfg, 10, 1.0, 10_000, sc.trial_stream(0, 4, 0))
+        assert abs(mean - expected_tail_error_exact(10, 1.0, 3.0)) <= (
+            4.0 * stderr)
+
 
 class TestConvergenceSlope:
     def test_exact_inverse_law(self):
@@ -163,6 +173,29 @@ class TestTailErrorReport:
                                       seed=0)
         assert np.all(report.delta_means <= 0.05)
         assert -0.8 <= report.fitted_slope <= -0.35
+
+    @pytest.mark.parametrize("eta", [3.0, 3.4142, 4.0])
+    @pytest.mark.parametrize("threshold", [0.01, 1.0])
+    def test_means_match_exact_expectation(self, eta, threshold):
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
+                               noise_power=0.1, half_width=40.0)
+        report = sc.tail_error_report(cfg, threshold, [5, 10, 20], 10_000,
+                                      seed=0)
+        for n, mean, stderr in zip(report.interferer_counts,
+                                   report.delta_means, report.delta_stderrs):
+            exact = expected_tail_error_exact(n, threshold, eta)
+            assert abs(mean - exact) <= 4.0 * stderr, (n, mean, exact)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 1},
+        {"interferer_counts": [1, 5, 10]},
+        {"threshold": 0.0},
+    ], ids=["one-trial", "count-one", "zero-threshold"])
+    def test_rejects_bad_arguments(self, kwargs):
+        args = {"threshold": 1.0, "interferer_counts": [5, 10, 20],
+                "trials": 100, **kwargs}
+        with pytest.raises(ValueError):
+            sc.tail_error_report(CFG4, **args)
 
     def test_deterministic_given_seed(self):
         a = sc.tail_error_report(CFG4, 1.0, [5, 10, 20], 2000, seed=3)

@@ -381,11 +381,18 @@ class TestMomentCoefficient:
                 assert sc.interference_moment_coefficient(i, lam) == (
                     sc.interference_moment_coefficient(i, 1.0) / (lam * lam))
 
-    @pytest.mark.parametrize("i", [3, 4, 5, 10, 20, 30])
+    @pytest.mark.parametrize("i", [3, 4, 5, 10, 20, 30, 45, 60, 1100])
     def test_matches_high_precision_series(self, i):
         got = sc.interference_moment_coefficient(i, 1.0)
         want = _moment_coefficient_reference(i)
         assert got == pytest.approx(want, rel=1e-8)
+
+    def test_relative_accuracy_over_index_range(self):
+        worst = max(
+            abs(sc.interference_moment_coefficient(i, 1.0)
+                / _moment_coefficient_reference(i) - 1.0)
+            for i in range(3, 81))
+        assert worst <= 1e-12
 
     def test_rejects_small_index(self):
         with pytest.raises(ValueError):
