@@ -5,8 +5,6 @@ from .error_analysis import (
     convergence_slope,
     expected_tail_truncation_error,
     tail_error_report,
-    tail_truncation_error,
-    tail_truncation_error_bound,
 )
 from .estimators import (
     CoverageCurve,
@@ -61,8 +59,6 @@ __all__ = [
     "tail_integral",
     "tail_integral_batch",
     "tail_integrand",
-    "tail_truncation_error",
-    "tail_truncation_error_bound",
     "trial_stream",
     "__version__",
 ]

@@ -240,8 +240,8 @@ def _curve(method: str, eta: float, grid: ThresholdGrid, estimates,
 
 def _monte_carlo_curve(method: str, cfg: NetworkConfig,
                        settings: EstimatorSettings, grid: ThresholdGrid,
-                       sampler: str, threads: int, values, stderr,
-                       all_window_points: bool = False) -> CoverageCurve:
+                       sampler: str, threads: int, values,
+                       stderr) -> CoverageCurve:
     """The Monte Carlo engine shared by the hybrid and simulation routes.
 
     Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
@@ -257,7 +257,6 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     N = settings.interferer_total
     if sampler == SAMPLER_WINDOW:
         _check_window_feasible(cfg, N)
-    count = None if all_window_points else N
     domain = (streams.GEOMETRY_WINDOW if sampler == SAMPLER_WINDOW
               else streams.GEOMETRY_DIRECT)
 
@@ -266,7 +265,7 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
         for m in range(lo, hi):
             rng = streams.trial_stream(settings.seed, domain, m)
             if sampler == SAMPLER_WINDOW:
-                total, d = nearest_window_distances(cfg, count, rng)
+                total, d = nearest_window_distances(cfg, N, rng)
                 if total < N:
                     continue
             else:
@@ -329,16 +328,13 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
 
 def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
                        grid: ThresholdGrid,
-                       include_all_window_points: bool = False,
                        threads: int = 1) -> CoverageCurve:
     """Empirical fraction of trials whose SINR exceeds each threshold.
 
     Geometry comes from the same window substreams as the hybrid estimator
     with its default window sampler; fading gains are unit-mean exponentials
-    from an independent substream.
-    By default exactly the ``interferer_total - 1`` nearest interferers
-    contribute; ``include_all_window_points`` widens the sum to every window
-    point to approximate the infinite-network target instead.
+    from an independent substream.  Exactly the ``interferer_total - 1``
+    nearest interferers contribute.
     """
     t_linear = grid.thresholds_linear
     eta, sig2 = cfg.pathloss_exponent, cfg.noise_power
@@ -359,8 +355,7 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
         return np.sqrt(p * (1.0 - p) / used)
 
     return _monte_carlo_curve(METHOD_SIMULATION, cfg, settings, grid,
-                              SAMPLER_WINDOW, threads, values, stderr,
-                              include_all_window_points)
+                              SAMPLER_WINDOW, threads, values, stderr)
 
 
 def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,

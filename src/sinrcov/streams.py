@@ -19,7 +19,6 @@ import numpy as np
 GEOMETRY_WINDOW = 1
 GEOMETRY_DIRECT = 2
 FADING = 3
-TAIL_ERROR = 4
 
 _INDEX_BITS = 48
 

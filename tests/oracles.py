@@ -5,7 +5,12 @@ import numpy as np
 from scipy import integrate
 from scipy.special import hyp2f1
 
-from sinrcov.quadrature import _check_tail_args
+from sinrcov.quadrature import (
+    DEFAULT_ABS_TOL,
+    _check_tail_args,
+    _pow_eta,
+    tail_integral_batch,
+)
 
 
 def tail_integral_closed_form(s: float, eta: float, a: float,
@@ -98,3 +103,36 @@ def expected_tail_error_exact(n: int, t: float, eta: float) -> float:
     value, _ = integrate.quad(covered, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10,
                               limit=200)
     return 1.0 - value
+
+
+def tail_truncation_error(s, boundary_radius, bs_density: float,
+                          pathloss_exponent: float,
+                          quad_abs_tol: float = DEFAULT_ABS_TOL):
+    """Coverage error from ignoring interferers beyond ``boundary_radius``.
+
+    1 - exp(-2*pi*lam * tail_integral(s, eta, R, inf)), pinned below 1 where
+    exp underflows.  Elementwise over arrays of ``s`` and ``boundary_radius``
+    (test oracle; the tail integral refuses eta <= 2).
+    """
+    tail = tail_integral_batch(s, pathloss_exponent, boundary_radius,
+                               math.inf, quad_abs_tol)
+    out = np.minimum(-np.expm1(-2.0 * math.pi * bs_density * tail),
+                     math.nextafter(1.0, 0.0))
+    return out if out.ndim else float(out)
+
+
+def tail_truncation_error_bound(s, boundary_radius, bs_density: float,
+                                pathloss_exponent: float):
+    """Elementary bound 2*pi*lam*s / ((eta-2) * R**(eta-2)) (test oracle).
+
+    Dominates :func:`tail_truncation_error` pointwise, since the tail
+    integrand s*t/(t**eta + s) is at most s*t**(1-eta).  Elementwise over
+    arrays of ``s`` and ``boundary_radius``.
+    """
+    eta = pathloss_exponent
+    if not eta > 2.0:
+        raise ValueError(f"defined for eta > 2, got {eta}")
+    out = (2.0 * math.pi * bs_density * np.asarray(s, dtype=float)
+           / ((eta - 2.0) * _pow_eta(np.asarray(boundary_radius, dtype=float),
+                                     eta - 2.0)))
+    return out if out.ndim else float(out)

@@ -42,7 +42,14 @@ except ImportError:
 else:
     sys.exit("the import blocker did not block scipy")
 
+import sinrcov
 from sinrcov.cli import main
+
+cfg = sinrcov.NetworkConfig(pathloss_exponent=3.0)
+report = sinrcov.tail_error_report(cfg, 1.0, [5, 10, 20])
+mean = sinrcov.expected_tail_truncation_error(cfg, 10, 1.0)
+if not 0.0 < report.delta_means[1] == mean < 1.0:
+    sys.exit(f"tail-error diagnostics disagree: {report} vs {mean}")
 sys.exit(main(sys.argv[1:]))
 """
 
