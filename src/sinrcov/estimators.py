@@ -176,21 +176,18 @@ class ProbModelParams:
             )
 
 
-def _blocks(n_trials: int):
-    return [(lo, min(lo + _TRIAL_BLOCK, n_trials))
-            for lo in range(0, n_trials, _TRIAL_BLOCK)]
-
-
 def _map_blocks(fn, n_trials: int, threads: int):
     """Run ``fn(lo, hi)`` over fixed trial blocks, preserving block order.
 
-    The block layout and per-trial substreams never depend on ``threads``,
-    so any worker count reproduces the single-threaded result bit for bit.
-    On the README K-ladder CLI run at 2,000 trials (2-core host, 5
-    interleaved pairs) the median run took 2.69 s with 1 thread and 1.93 s
-    with 2.
+    The block layout and per-trial substreams never depend on ``threads``.
+    A block function creates every generator and buffer it uses, and blocks
+    share nothing mutable, so any worker count reproduces the
+    single-threaded result bit for bit.  On the README K-ladder CLI run at
+    2,000 trials (2-core host, 5 interleaved pairs) the median run took
+    2.69 s with 1 thread and 1.93 s with 2.
     """
-    blocks = _blocks(n_trials)
+    blocks = [(lo, min(lo + _TRIAL_BLOCK, n_trials))
+              for lo in range(0, n_trials, _TRIAL_BLOCK)]
     if threads <= 1 or len(blocks) == 1:
         return [fn(lo, hi) for lo, hi in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -247,10 +244,11 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
     (seed, GEOMETRY_DIRECT, m) substream, so methods on the same sampler
     see the same draws.  Window draws with fewer than ``interferer_total``
-    points are skipped.  ``values(rows, trials)`` maps a block's distance
-    rows and trial indices to an array of shape (rows, thresholds); the
-    per-threshold sum and sum of squares are reduced in block order, and
-    ``stderr(mean, sumsq, used)`` turns them into standard errors.
+    points are skipped.  ``values(D, trials)`` maps a block's stacked
+    distance rows D, shape (rows, N), and their trial indices to an array
+    of shape (rows, thresholds); the per-threshold sum and sum of squares
+    are reduced in block order, and ``stderr(mean, sumsq, used)`` turns them
+    into standard errors.
     """
     if sampler not in (SAMPLER_WINDOW, SAMPLER_DIRECT):
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -275,7 +273,7 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
             trials.append(m)
         if not rows:
             return np.zeros(len(grid)), np.zeros(len(grid)), 0
-        vals = values(rows, trials)
+        vals = values(np.vstack(rows), trials)
         return vals.sum(axis=0), (vals * vals).sum(axis=0), len(rows)
 
     sums = np.zeros(len(grid))
@@ -310,8 +308,7 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
     t_linear = grid.thresholds_linear
     lam, sig2, eta = cfg.bs_density, cfg.noise_power, cfg.pathloss_exponent
 
-    def values(rows, trials):
-        D = np.vstack(rows)
+    def values(D, trials):
         s = t_linear[None, :] * _pow_eta(D[:, 0], eta)[:, None]
         return _hybrid_trial_values(D, s, K, N, lam, sig2, eta,
                                     settings.quad_abs_tol)
@@ -339,17 +336,15 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
     t_linear = grid.thresholds_linear
     eta, sig2 = cfg.pathloss_exponent, cfg.noise_power
 
-    def values(rows, trials):
-        covered = np.empty((len(rows), len(grid)))
-        for j, (d, m) in enumerate(zip(rows, trials)):
-            gains = streams.trial_stream(settings.seed, streams.FADING,
-                                         m).standard_exponential(d.size)
-            signal = gains[0] / _pow_eta(d[0], eta)
-            interference = float((gains[1:] / _pow_eta(d[1:], eta)).sum())
-            denom = interference + sig2
-            sinr = signal / denom if denom > 0.0 else math.inf
-            covered[j] = sinr > t_linear
-        return covered
+    def values(D, trials):
+        gains = np.vstack([
+            streams.trial_stream(settings.seed, streams.FADING, m)
+            .standard_exponential(D.shape[1]) for m in trials])
+        power = gains / _pow_eta(D, eta)
+        denom = power[:, 1:].sum(axis=1) + sig2
+        with np.errstate(divide="ignore"):
+            sinr = np.where(denom > 0.0, power[:, 0] / denom, math.inf)
+        return (sinr[:, None] > t_linear).astype(float)
 
     def stderr(p, sumsq, used):
         return np.sqrt(p * (1.0 - p) / used)

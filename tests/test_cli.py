@@ -234,15 +234,21 @@ class TestWriteCsv:
 
 
 class TestMain:
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        out1 = tmp_path / "t1.csv"
-        out8 = tmp_path / "t8.csv"
-        base = ["--methods", "hybrid,simulation", "--trials", "400", "--N",
-                "5", "--K", "2", "--tmin-db", "-10", "--tmax-db", "10",
-                "--tstep-db", "5", "--seed", "7"]
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "8", "--out", str(out8)]) == 0
-        assert out1.read_bytes() == out8.read_bytes()
+    @pytest.mark.parametrize("shape", [
+        ["--N", "5", "--K", "2", "--tstep-db", "5", "--seed", "7"],
+        ["--eta", "2", "--N", "5", "--K", "1", "2", "3", "4",
+         "--tstep-db", "10", "--seed", "3"],
+    ], ids=["default", "kladder-eta2"])
+    def test_worker_count_does_not_change_bytes(self, shape, tmp_path):
+        # 2,100 trials make three blocks, so every threads > 1 run pools.
+        base = ["--methods", "hybrid,simulation", "--trials", "2100",
+                "--tmin-db", "-10", "--tmax-db", "10", *shape]
+        outputs = []
+        for i, threads in enumerate(("1", "2", "2", "8")):
+            out = tmp_path / f"run{i}.csv"
+            assert main(base + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 4
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"

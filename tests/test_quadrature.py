@@ -59,18 +59,18 @@ class TestIntegrateAdaptive:
             return np.where(owner[:, None] == 0, np.nan, x)
 
         with pytest.raises(QuadratureError, match="1 of 2") as excinfo:
-            _adaptive_batch(fun, np.zeros(2), np.ones(2), 1e-9, max_rounds=4)
+            _adaptive_batch(fun, np.zeros(2), np.ones(2), 1e-9, max_panels=16)
         err = excinfo.value
         assert not err.error_bound[0] <= 1e-9
         assert err.error_bound[1] <= 1e-9
         assert err.estimate[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_failure_carries_best_estimate(self):
-        # An oscillatory integrand cannot converge in 4 rounds at a tight
-        # tolerance; the failure must still expose the running estimate.
+        # An oscillatory integrand cannot converge on 16 subintervals at a
+        # tight tolerance; the failure must still expose the running estimate.
         f = lambda t: np.sin(50.0 * t * t)
         with pytest.raises(QuadratureError) as excinfo:
-            _integrate(f, 0.0, 4.0, 1e-13, max_rounds=4)
+            _integrate(f, 0.0, 4.0, 1e-13, max_panels=16)
         err = excinfo.value
         ref = scipy_integrate.quad(f, 0.0, 4.0, limit=400)[0]
         assert err.estimate.shape == err.error_bound.shape == (1,)
@@ -226,6 +226,25 @@ class TestTailIntegralBatch:
         alone = [sc.tail_integral(si, eta, ai, bi, 1e-9)
                  for si, ai, bi in zip(s, a, b)]
         np.testing.assert_array_equal(batch, alone)
+
+    def test_success_does_not_depend_on_batch(self):
+        # 256 x 801 finite tails (eta 3.4142, K = 1, N = 20, a 0.05 dB grid)
+        # hold over 200,000 subintervals at once.  Each integral refines on
+        # its own budget, so the whole block converges to the bits that
+        # blocks of 32 rows get.
+        eta = 3.4142
+        rng = np.random.default_rng(5)
+        D = np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng)
+                       .distances for _ in range(256)])
+        grid = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 0.05)
+        s = grid.thresholds_linear[None, :] * D[:, :1] ** eta
+        a = np.broadcast_to(D[:, :1], s.shape)
+        b = np.broadcast_to(D[:, 19:], s.shape)
+        whole = sc.tail_integral_batch(s, eta, a, b)
+        chunks = [sc.tail_integral_batch(s[i:i + 32], eta, a[i:i + 32],
+                                         b[i:i + 32])
+                  for i in range(0, 256, 32)]
+        np.testing.assert_array_equal(whole, np.vstack(chunks))
 
     def test_preserves_shape(self):
         s = np.full((3, 4), 2.0)
