@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 import sinrcov as sc
-from sinrcov.quadrature import (QuadratureError, _adaptive_batch,
-                                _unit_interval)
+from sinrcov.quadrature import (_PANEL_BLOCK, QuadratureError,
+                                _adaptive_batch, _unit_interval)
 
 from oracles import tail_integral_closed_form
 
@@ -196,10 +196,9 @@ class TestTailIntegral:
             assert base >= 0.0
 
 
-def _mixed_batch():
-    """500 tail integrals: finite, infinite, zero-s and zero-width ones."""
+def _mixed_batch(n=500):
+    """``n`` tail integrals: finite, infinite, zero-s and zero-width ones."""
     rng = np.random.default_rng(42)
-    n = 500
     s = 10 ** rng.uniform(-3, 3, n)
     a = rng.uniform(0.0, 5.0, n)
     b = a + rng.uniform(0.0, 10.0, n)
@@ -224,6 +223,16 @@ class TestTailIntegralBatch:
         s, a, b = _mixed_batch()
         batch = sc.tail_integral_batch(s, eta, a, b, 1e-9)
         alone = [sc.tail_integral(si, eta, ai, bi, 1e-9)
+                 for si, ai, bi in zip(s, a, b)]
+        np.testing.assert_array_equal(batch, alone)
+
+    def test_value_does_not_depend_on_panel_block(self):
+        # About 7,100 non-empty integrals: three full panel blocks plus a
+        # remainder in the first round.  Every element still equals its own
+        # one-element call bit for bit.
+        s, a, b = _mixed_batch(4 * _PANEL_BLOCK)
+        batch = sc.tail_integral_batch(s, 3.4142, a, b, 1e-9)
+        alone = [sc.tail_integral_batch([si], 3.4142, [ai], [bi], 1e-9)[0]
                  for si, ai, bi in zip(s, a, b)]
         np.testing.assert_array_equal(batch, alone)
 
