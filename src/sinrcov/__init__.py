@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .quadrature import (
     QuadratureError,
-    tail_integral,
     tail_integral_batch,
     tail_integrand,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "sample_ordered_distances_direct",
     "sg_coverage",
     "tail_error_report",
-    "tail_integral",
     "tail_integral_batch",
     "tail_integrand",
     "trial_stream",

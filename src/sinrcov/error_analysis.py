@@ -2,11 +2,12 @@
 
 Cutting the interference off at the N-th nearest base station perturbs the
 coverage probability by at most the tail error
-``delta_N(T) = 1 - exp(-2*pi*lam * tail_integral(s, eta, R_N, inf))`` with
-s = T * r**eta, jointly averaged over the serving distance r and the
-truncation radius R_N.  This module evaluates that expectation exactly as a
-1-D integral, the mean of its elementary analytic bound in closed form, and
-log-log convergence-rate fits against the interferer count.
+``delta_N(T) = 1 - exp(-2*pi*lam * tail(s, R_N, inf))``, where tail(s, a, b)
+is the integral of s*t/(t**eta + s) over [a, b] and s = T * r**eta, jointly
+averaged over the serving distance r and the truncation radius R_N.  This
+module evaluates that expectation exactly as a 1-D integral, the mean of its
+elementary analytic bound in closed form, and log-log convergence-rate fits
+against the interferer count.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ def _expected_tail_errors(eta: float, counts, threshold: float,
 
     B = r**2/R_N**2 ~ Beta(1, N-1) is independent of pi*lam*R_N**2 ~ Gamma(N),
     and t = r*x turns the tail into r**2 * I_T(R_N/r) with
-    I_T(x) = tail_integral(T, eta, x, inf) (Andrews, Baccelli and Ganti, IEEE
-    TCOM 2011).  The Gamma MGF then gives E[delta_N(T)] as the integral over
+    I_T(x) = tail(T, x, inf) (Andrews, Baccelli and Ganti, IEEE TCOM 2011).
+    The Gamma MGF then gives E[delta_N(T)] as the integral over
     b in [0, 1] of (N-1)(1-b)**(N-2) * (1 - (1 + 2b*I_T(b**-0.5))**-N), which
     does not depend on lam.  I_T gets ``quad_abs_tol``/4 and the b-integral
     ``quad_abs_tol``/2; the derivative in I_T integrates to at most 2, so the

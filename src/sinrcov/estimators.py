@@ -202,8 +202,9 @@ def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
     ``s`` has shape (trials, thresholds).  Each value multiplies the noise
     factor exp(-s*sigma^2), the exact fading average 1/(1 + s*R_i**-eta)
     over interferers 2..K, and the far-field factor
-    exp(-2*pi*lam * tail_integral(s, eta, R_K, R_N)).  With K == N the tail
-    factor is exactly 1; with K == 1 the dominant product is empty.
+    exp(-2*pi*lam * tail(s, R_K, R_N)), with the tail integral from
+    :func:`tail_integral_batch`.  With K == N the tail factor is exactly 1;
+    with K == 1 the dominant product is empty.
     """
     dominant = np.ones_like(s)
     for i in range(1, K):

@@ -6,16 +6,18 @@ against the embedded 7-point Gauss rule, and the worst intervals are bisected
 until the summed error estimate meets the absolute tolerance.  A batched
 engine integrates many independent integrals of one family in lock-step,
 which keeps the per-trial tail factors of the Monte Carlo estimators cheap.
+It hands the integrand fixed blocks of panels, so the temporaries of one
+call stay in cache however large the batch is.
 
 Integrals over [a, inf), such as the serving-distance average of the sg
 benchmark, are mapped onto [0, 1) with t = a + v/(1-v); endpoints are never
 evaluated, so integrable endpoint behaviour is handled by subdivision.  The
-tail integral instead integrates up to a split point and sums the far tail
-analytically (see :func:`tail_integral_batch`), which keeps tight
-tolerances reachable for every exponent above 2.  Every integral of a batch
+tail integral is integrated over v = log t instead, where its two power laws
+become exponentials, and its ends below and far above the knee are summed
+analytically (see :func:`tail_integral_batch`).  Every integral of a batch
 is refined, stopped and summed on its own, and holds its own subdivision
 budget, so neither its value nor whether it converges depends on what shares
-its batch.
+its batch or panel block.
 """
 from __future__ import annotations
 
@@ -213,52 +215,76 @@ def _check_tail_args(s, eta: float, a, b) -> None:
         )
 
 
-def _tail_series_beyond(s, eta: float, c):
-    """Far-tail integral from c to infinity via the alternating power series.
+def _alternating_series(first, ratio, denom):
+    """Sum over k >= 0 of first * ratio**k / denom(k), elementwise.
 
-    For s*c**(-eta) < 1 the integrand expands as
-    s*t**(1-eta) * sum_k (-s*t**(-eta))**k, giving
-    sum_k (-1)**k s**(k+1) c**(2-eta(k+1)) / (eta(k+1)-2).  Terms decrease in
-    magnitude, so each element stops once its next term no longer changes
-    its total (|term| <= eps*|total|), which bounds its remainder by that
-    term; no element waits on another.  Callers must pick c so that
-    s*c**(-eta) <= 1/4, so that takes about 30 terms at most.
+    Callers pass -1/4 <= ratio <= 0 and denominators that grow with k, so
+    the terms alternate and fall in magnitude.  Each element stops once its
+    next term no longer changes its total (|term| <= eps*|total|), which
+    bounds its remainder by that term; no element waits on another.  That
+    takes about 30 terms at most.
     """
-    signed_q = -s / _pow_eta(c, eta)
-    numer = s * c * c / _pow_eta(c, eta)  # s * c**(2-eta)
-    term = numer / (eta - 2.0)
+    eps = np.finfo(float).eps
+    numer = first
+    term = numer / denom(0)
     total = np.zeros_like(term)
     active = np.ones(term.shape, dtype=bool)
     for k in range(1, 200):
         total = np.where(active, total + term, total)
-        numer = numer * signed_q
-        term = numer / (eta * (k + 1) - 2.0)
-        active &= np.abs(term) > np.finfo(float).eps * np.abs(total)
+        numer = numer * ratio
+        term = numer / denom(k)
+        active &= np.abs(term) > eps * np.abs(total)
         if not active.any():
             break
     return total
 
 
-def tail_integral(s: float, eta: float, a: float, b: float,
-                  abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """Integral of s*t/(t**eta + s) over [a, b] (b may be +inf when eta > 2)."""
-    out = tail_integral_batch(np.array([float(s)]), eta,
-                              np.array([float(a)]), np.array([float(b)]),
-                              abs_tol)
-    return float(out[0])
+def _tail_series_beyond(s, eta: float, c):
+    """Tail integral from c to infinity, for s*c**(-eta) <= 1/4.
+
+    The integrand expands as s*t**(1-eta) * sum_k (-s*t**(-eta))**k, giving
+    sum_k (-1)**k s**(k+1) c**(2-eta(k+1)) / (eta(k+1)-2).
+    """
+    pc = _pow_eta(c, eta)
+    return _alternating_series(s * c * c / pc, -s / pc,
+                               lambda k: eta * (k + 1) - 2.0)
+
+
+def _tail_series_below(s, eta: float, c):
+    """Tail integral from 0 to c, for c**eta/s <= 1/4.
+
+    The integrand expands as t * sum_k (-t**eta/s)**k, giving
+    sum_k (-1)**k c**(2+k*eta) / (s**k (2+k*eta)).
+    """
+    return _alternating_series(c * c, -_pow_eta(c, eta) / s,
+                               lambda k: eta * k + 2.0)
 
 
 def tail_integral_batch(s, eta: float, a, b,
                         abs_tol: float = DEFAULT_ABS_TOL) -> np.ndarray:
-    """Elementwise :func:`tail_integral` over arrays of (s, a, b).
+    """Integral of s*t/(t**eta + s) over [a, b], elementwise over (s, a, b).
 
-    All integrals share one path-loss exponent and tolerance; finite and
-    infinite upper limits may be mixed freely.  Each integral runs
-    Gauss-Kronrod over [a, upper] with the whole ``abs_tol``: upper is b,
-    or c = max(a, (4s)**(1/eta)) when b is infinite, and the far tail beyond
-    c is then added from an analytic series summed to machine precision.
-    So the error of every element stays within ``abs_tol`` plus rounding,
-    and accuracy does not degrade as eta approaches 2 from above.
+    All integrals share one path-loss exponent and tolerance; b may be +inf
+    when eta > 2, a may be 0, and both kinds mix freely with finite limits.
+    Each integral makes one Gauss-Kronrod pass with the whole ``abs_tol``
+    over v = log t, integrating t * s*t/(t**eta + s) from log(lower) to
+    log(upper).  In log t the rise as t below the knee at t = s**(1/eta) and
+    the fall as s*t**(1-eta) above it are both exponentials, and the knee is
+    a smooth bump, so one panel no longer straddles a kink that its
+    |K15 - G7| gauge under-reports.  The two ends are summed analytically,
+    each element to its own machine precision:
+
+    * upper is b, or c = max(a, (4s)**(1/eta)) when b is infinite, and the
+      far tail beyond c is added from its series in -s*t**(-eta);
+    * lower is max(a, c0) with c0 = min(upper, (s/4)**(1/eta)), and where
+      a < c0 the near part [a, c0] is added as the difference of its series
+      in -t**eta/s at c0 and at a (which is 0 at a = 0).  A panel that
+      starts just below the knee gauges its error conservatively; one that
+      starts far below it can under-report it.
+
+    Accuracy does not degrade as eta approaches 2 from above.  The integrand
+    is evaluated in blocks of panels (see ``_panel``), and every element's
+    value is the one it gets alone.
     """
     s, a, b = np.broadcast_arrays(np.asarray(s, dtype=float),
                                   np.asarray(a, dtype=float),
@@ -274,11 +300,20 @@ def tail_integral_batch(s, eta: float, a, b,
     far = np.isinf(b)
     upper = b.copy()
     upper[far] = np.maximum(a[far], np.exp(np.log(4.0 * s[far]) / eta))
+    lower = np.maximum(a, np.minimum(
+        upper, np.exp((np.log(s) - np.log(4.0)) / eta)))
+    near = a < lower
+    # Where (s/4)**(1/eta) underflows at a = 0, the quadrature starts at the
+    # smallest normal float instead; the piece it skips is below tiny**2.
+    log_lower = np.log(np.maximum(lower, np.finfo(float).tiny))
 
-    def fun(x, owner):
-        return tail_integrand(s[owner][:, None], eta, x)
+    def fun(v, owner):
+        t = np.exp(v)
+        return t * tail_integrand(s[owner][:, None], eta, t)
 
-    vals, _ = _adaptive_batch(fun, a, upper, abs_tol)
+    vals, _ = _adaptive_batch(fun, log_lower, np.log(upper), abs_tol)
     vals[far] += _tail_series_beyond(s[far], eta, upper[far])
+    vals[near] += (_tail_series_below(s[near], eta, lower[near])
+                   - _tail_series_below(s[near], eta, a[near]))
     out[idx] = vals
     return out.reshape(shape)

@@ -75,7 +75,7 @@ def test_criterion_1_quadrature_oracle():
         a = rng.uniform(0.0, 5.0)
         b = a + rng.uniform(0.01, 10.0)
         for eta in (2.0, 4.0):
-            got = sc.tail_integral(s, eta, a, b, 1e-9)
+            got = sc.tail_integral_batch([s], eta, [a], [b], 1e-9)[0]
             want = tail_integral_closed_form(s, eta, a, b)
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start

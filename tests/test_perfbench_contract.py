@@ -7,7 +7,9 @@ passes fail operations.  A curve computed without going through the wrapped
 kept between passes makes the exact counters of two traced passes differ.
 This runs a traced, an untraced and a second traced pass per workload and
 requires that none fails, that every hybrid curve is timed, that the traced
-counters repeat and that only known stale names go unwrapped.
+counters repeat and that only known stale names go unwrapped.  The tail
+integrand must go through the wrapped ``quadrature.tail_integrand``, or the
+quadrature counters silently read 0.
 """
 import importlib.util
 import json
@@ -51,6 +53,7 @@ def test_passes_do_not_fail(bench, workload, tmp_path):
         if traced:
             assert set(result.trace.unwrapped) <= STALE_NAMES
             layers = bench.layer_metrics(result.trace)
+            assert layers["quadrature.panels"] > 0, (workload, traced)
             counters.append({name: layers[name]
                              for name, _ in bench.EXACT_COUNTERS})
     assert counters[0] == counters[1]

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 import sinrcov as sc
-from sinrcov.quadrature import (_PANEL_BLOCK, QuadratureError,
-                                _adaptive_batch, _unit_interval)
+from sinrcov.quadrature import (_PANEL_BLOCK, DEFAULT_ABS_TOL,
+                                QuadratureError, _adaptive_batch,
+                                _unit_interval)
 
-from oracles import tail_integral_closed_form
+from oracles import tail_integral_betainc, tail_integral_closed_form
+
+
+def _tail(s, eta, a, b, abs_tol=DEFAULT_ABS_TOL):
+    """One tail integral through the batched evaluator."""
+    return float(sc.tail_integral_batch([s], eta, [a], [b], abs_tol)[0])
 
 
 def _integrate(f, a, b, abs_tol, **budget):
@@ -114,31 +122,38 @@ class TestTailIntegrand:
 
 class TestTailIntegral:
     def test_empty_interval(self):
-        assert sc.tail_integral(5.0, 4.0, 2.0, 2.0) == 0.0
+        assert _tail(5.0, 4.0, 2.0, 2.0) == 0.0
 
     def test_zero_s(self):
-        assert sc.tail_integral(0.0, 3.0, 1.0, 9.0) == 0.0
+        assert _tail(0.0, 3.0, 1.0, 9.0) == 0.0
 
     def test_eta4_infinite_upper(self):
-        value = sc.tail_integral(1.0, 4.0, 1.0, math.inf, 1e-10)
+        value = _tail(1.0, 4.0, 1.0, math.inf, 1e-10)
         assert value == pytest.approx(math.pi / 8.0, abs=1e-9)
 
     def test_eta2_finite(self):
-        value = sc.tail_integral(2.0, 2.0, 1.0, 3.0, 1e-10)
+        value = _tail(2.0, 2.0, 1.0, 3.0, 1e-10)
         assert value == pytest.approx(math.log(11.0 / 3.0), abs=1e-9)
 
     def test_rejects_infinite_upper_for_low_eta(self):
         for eta in (1.5, 2.0):
             with pytest.raises(ValueError):
-                sc.tail_integral(1.0, eta, 1.0, math.inf)
+                _tail(1.0, eta, 1.0, math.inf)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
-            sc.tail_integral(-1.0, 4.0, 0.0, 1.0)
+            _tail(-1.0, 4.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            sc.tail_integral(1.0, 4.0, -0.5, 1.0)
+            _tail(1.0, 4.0, -0.5, 1.0)
         with pytest.raises(ValueError):
-            sc.tail_integral(1.0, 4.0, 2.0, 1.0)
+            _tail(1.0, 4.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 4.0])
+    def test_zero_lower_limit_with_vanishing_s(self, eta):
+        # (s/4)**(1/eta) underflows here; every tail is below 1e-149.
+        s = np.array([1e-300, 1e-310, 5e-324])
+        got = sc.tail_integral_batch(s, eta, 0.0, 1.0, 1e-9)
+        assert np.all((got >= 0.0) & (got <= 1e-9))
 
     def test_oracle_agreement_random_sweep(self):
         rng = np.random.default_rng(2024)
@@ -148,7 +163,7 @@ class TestTailIntegral:
             a = rng.uniform(0.0, 5.0)
             b = a + rng.uniform(0.01, 10.0)
             for eta in (2.0, 4.0):
-                got = sc.tail_integral(s, eta, a, b, 1e-9)
+                got = _tail(s, eta, a, b, 1e-9)
                 want = tail_integral_closed_form(s, eta, a, b)
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-8
@@ -158,7 +173,7 @@ class TestTailIntegral:
         for _ in range(25):
             s = 10 ** rng.uniform(-3, 3)
             a = rng.uniform(0.05, 5.0)
-            got = sc.tail_integral(s, 4.0, a, math.inf, 1e-9)
+            got = _tail(s, 4.0, a, math.inf, 1e-9)
             want = tail_integral_closed_form(s, 4.0, a, math.inf)
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -166,7 +181,7 @@ class TestTailIntegral:
     def test_fractional_eta_against_scipy(self, eta):
         for s, a, b in ((1.3, 0.7, math.inf), (40.0, 0.2, 5.0),
                         (0.01, 1.0, math.inf)):
-            got = sc.tail_integral(s, eta, a, b, 1e-10)
+            got = _tail(s, eta, a, b, 1e-10)
             want = scipy_integrate.quad(lambda t: s * t / (t ** eta + s), a,
                                         b, epsabs=1e-13, limit=800)[0]
             assert got == pytest.approx(want, abs=1e-9)
@@ -178,9 +193,9 @@ class TestTailIntegral:
             for _ in range(20):
                 s = 10 ** rng.uniform(-2, 2)
                 a, b, c = np.sort(rng.uniform(0.05, 8.0, 3))
-                whole = sc.tail_integral(s, eta, a, c, tol)
-                parts = (sc.tail_integral(s, eta, a, b, tol)
-                         + sc.tail_integral(s, eta, b, c, tol))
+                whole = _tail(s, eta, a, c, tol)
+                parts = (_tail(s, eta, a, b, tol)
+                         + _tail(s, eta, b, c, tol))
                 assert whole == pytest.approx(parts, abs=2 * tol)
 
     def test_monotone_in_arguments(self):
@@ -189,10 +204,10 @@ class TestTailIntegral:
             s = 10 ** rng.uniform(-2, 2)
             a, b = np.sort(rng.uniform(0.1, 6.0, 2))
             eta = rng.choice([2.5, 3.0, 4.0])
-            base = sc.tail_integral(s, eta, a, b, 1e-10)
-            assert sc.tail_integral(2 * s, eta, a, b, 1e-10) >= base - 1e-9
-            assert sc.tail_integral(s, eta, a, b + 1.0, 1e-10) >= base - 1e-9
-            assert sc.tail_integral(s, eta, a + 0.05, b, 1e-10) <= base + 1e-9
+            base = _tail(s, eta, a, b, 1e-10)
+            assert _tail(2 * s, eta, a, b, 1e-10) >= base - 1e-9
+            assert _tail(s, eta, a, b + 1.0, 1e-10) >= base - 1e-9
+            assert _tail(s, eta, a + 0.05, b, 1e-10) <= base + 1e-9
             assert base >= 0.0
 
 
@@ -213,7 +228,7 @@ class TestTailIntegralBatch:
         s, a, b = _mixed_batch()
         batch = sc.tail_integral_batch(s, 4.0, a, b, 1e-9)
         for i in range(0, s.size, 7):
-            scalar = sc.tail_integral(s[i], 4.0, a[i], b[i], 1e-9)
+            scalar = _tail(s[i], 4.0, a[i], b[i], 1e-9)
             assert batch[i] == pytest.approx(scalar, abs=3e-9)
 
     @pytest.mark.parametrize("eta", [3.4142, 4.0])
@@ -222,7 +237,7 @@ class TestTailIntegralBatch:
         # with other integrals must not move a single bit.
         s, a, b = _mixed_batch()
         batch = sc.tail_integral_batch(s, eta, a, b, 1e-9)
-        alone = [sc.tail_integral(si, eta, ai, bi, 1e-9)
+        alone = [_tail(si, eta, ai, bi, 1e-9)
                  for si, ai, bi in zip(s, a, b)]
         np.testing.assert_array_equal(batch, alone)
 
@@ -232,7 +247,7 @@ class TestTailIntegralBatch:
         # one-element call bit for bit.
         s, a, b = _mixed_batch(4 * _PANEL_BLOCK)
         batch = sc.tail_integral_batch(s, 3.4142, a, b, 1e-9)
-        alone = [sc.tail_integral_batch([si], 3.4142, [ai], [bi], 1e-9)[0]
+        alone = [_tail(si, 3.4142, ai, bi, 1e-9)
                  for si, ai, bi in zip(s, a, b)]
         np.testing.assert_array_equal(batch, alone)
 
@@ -259,13 +274,83 @@ class TestTailIntegralBatch:
         s = np.full((3, 4), 2.0)
         out = sc.tail_integral_batch(s, 4.0, 1.0, 2.0, 1e-8)
         assert out.shape == (3, 4)
-        assert np.allclose(out, sc.tail_integral(2.0, 4.0, 1.0, 2.0, 1e-8),
+        assert np.allclose(out, _tail(2.0, 4.0, 1.0, 2.0, 1e-8),
                            atol=1e-7)
 
     def test_rejects_infinite_upper_for_low_eta(self):
         with pytest.raises(ValueError):
             sc.tail_integral_batch(np.array([1.0]), 2.0, np.array([1.0]),
                                    np.array([np.inf]))
+
+
+@pytest.fixture(scope="module")
+def hybrid_k1_n20_radii():
+    """r and R_20 of 10,000 direct-sampler trials at density 1."""
+    rng = np.random.default_rng(2)
+    D = np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng).distances
+                   for _ in range(10_000)])
+    return D[:, 0], D[:, 19]
+
+
+class TestHybridShapedTails:
+    """The K = 1, N = 20 hybrid's tails: s = T*r**eta over [r, R_20].
+
+    On the README grid s reaches below 1e-3 while R_20/r reaches 100 and
+    more, so the integrand's knee at t = s**(1/eta) sits just above r.  One
+    Kronrod panel over [r, R_20] in t passes its |K15 - G7| gauge there while
+    up to 100 times over the tolerance.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("eta, oracle", [
+        (4.0, tail_integral_closed_form), (3.4142, tail_integral_betainc)])
+    def test_every_tail_within_tolerance(self, hybrid_k1_n20_radii, eta,
+                                         oracle, tol):
+        r, r_n = hybrid_k1_n20_radii
+        T = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 2.0).thresholds_linear
+        s = T[None, :] * r[:, None] ** eta
+        a = np.broadcast_to(r[:, None], s.shape)
+        b = np.broadcast_to(r_n[:, None], s.shape)
+        err = np.abs(sc.tail_integral_batch(s, eta, a, b, tol)
+                     - oracle(s, eta, a, b))
+        assert err.max() <= tol, (
+            f"{np.count_nonzero(err > tol)} of {err.size} tails over tol, "
+            f"worst {err.max() / tol:.2f} x tol")
+
+    @pytest.mark.parametrize("eta", [2.0, 4.0])
+    def test_zero_lower_limit(self, eta):
+        rng = np.random.default_rng(8)
+        n = 4000
+        s = 10 ** rng.uniform(-8, 4, n)
+        b = 10 ** rng.uniform(-3, 2, n)
+        if eta > 2.0:
+            b[::3] = np.inf
+        tol = 1e-9
+        err = np.abs(sc.tail_integral_batch(s, eta, 0.0, b, tol)
+                     - tail_integral_closed_form(s, eta, 0.0, b))
+        assert err.max() <= tol, f"worst {err.max() / tol:.2f} x tol"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(eta=st.sampled_from([2.5, 3.0, 3.4142, 4.0, 6.0]),
+       log_s=st.floats(-8.0, 6.0),
+       a=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       log_span=st.floats(-3.0, 3.0),
+       infinite=st.booleans(),
+       tol=st.sampled_from([1e-6, 1e-9]))
+def test_tail_batch_matches_betainc(eta, log_s, a, log_span, infinite, tol):
+    # The (s, a, b) range the estimators reach: b is a * 10**log_span with
+    # span up to 1e3 when a > 0, 10**log_span itself when a = 0, or +inf.
+    s = 10.0 ** log_s
+    if infinite:
+        b = math.inf
+    elif a > 0.0:
+        b = a * 10.0 ** abs(log_span)
+    else:
+        b = 10.0 ** log_span
+    got = _tail(s, eta, a, b, tol)
+    want = tail_integral_betainc(s, eta, a, b)
+    assert abs(got - want) <= tol, (got, want, abs(got - want) / tol)
 
 
 class TestTailIntegralClosedForm:
