@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,32 +90,26 @@ class EstimatorSettings:
 
 @dataclass(frozen=True)
 class ThresholdGrid:
-    """SINR thresholds in dB and linear form, strictly increasing."""
+    """Strictly increasing SINR thresholds in dB; linear ones = 10**(db/10)."""
 
     thresholds_db: np.ndarray
-    thresholds_linear: np.ndarray
+    thresholds_linear: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         db = np.asarray(self.thresholds_db, dtype=float)
-        lin = np.asarray(self.thresholds_linear, dtype=float)
-        if db.ndim != 1 or db.shape != lin.shape or db.size == 0:
-            raise ValueError("thresholds must be equal-length 1-D arrays")
+        if db.ndim != 1 or db.size == 0:
+            raise ValueError("thresholds must be a non-empty 1-D array")
         if np.any(np.diff(db) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-        if np.any(lin <= 0):
-            raise ValueError("linear thresholds must be positive")
-        if not np.allclose(lin, 10.0 ** (db / 10.0), rtol=1e-12, atol=0.0):
-            raise ValueError("linear thresholds must equal 10**(db/10)")
         object.__setattr__(self, "thresholds_db", db)
-        object.__setattr__(self, "thresholds_linear", lin)
+        object.__setattr__(self, "thresholds_linear", 10.0 ** (db / 10.0))
 
     def __len__(self) -> int:
         return self.thresholds_db.size
 
     @classmethod
     def from_db_values(cls, values) -> "ThresholdGrid":
-        db = np.asarray(values, dtype=float)
-        return cls(db, 10.0 ** (db / 10.0))
+        return cls(values)
 
     @classmethod
     def from_db_range(cls, tmin_db: float, tmax_db: float,
@@ -132,7 +126,7 @@ class ThresholdGrid:
         lin = np.asarray(values, dtype=float)
         if np.any(lin <= 0):
             raise ValueError("linear thresholds must be positive")
-        return cls(10.0 * np.log10(lin), lin)
+        return cls(10.0 * np.log10(lin))
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,6 @@ class CoverageCurve:
     interferer_total: int
     dominant_count: int
     thresholds_db: np.ndarray
-    thresholds_linear: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
     trials_used: np.ndarray
@@ -230,7 +223,7 @@ def _curve(method: str, eta: float, grid: ThresholdGrid, estimates,
     return CoverageCurve(
         method=method, eta=eta, interferer_total=interferer_total,
         dominant_count=dominant_count, thresholds_db=grid.thresholds_db,
-        thresholds_linear=grid.thresholds_linear, estimates=estimates,
+        estimates=estimates,
         stderrs=np.zeros(len(grid)) if stderrs is None else stderrs,
         trials_used=np.full(len(grid), used, dtype=int),
     )

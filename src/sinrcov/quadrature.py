@@ -14,10 +14,11 @@ benchmark, are mapped onto [0, 1) with t = a + v/(1-v); endpoints are never
 evaluated, so integrable endpoint behaviour is handled by subdivision.  The
 tail integral is integrated over v = log t instead, where its two power laws
 become exponentials, and its ends below and far above the knee are summed
-analytically (see :func:`tail_integral_batch`).  Every integral of a batch
-is refined, stopped and summed on its own, and holds its own subdivision
-budget, so neither its value nor whether it converges depends on what shares
-its batch or panel block.
+analytically, each by a fixed 27-term series that needs no stop rule (see
+:func:`tail_integral_batch`).  Every integral of a batch is refined, stopped
+and summed on its own, and holds its own subdivision budget, so neither its
+value nor whether it converges depends on what shares its batch or panel
+block.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ _MAX_PANELS = 1000
 # Panels evaluated per integrand call: 2,048 x 15 nodes keep the integrand's
 # temporaries in cache instead of in arrays of tens of megabytes.
 _PANEL_BLOCK = 2048
+_SERIES_TERMS = 27
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule lives at
 # the odd indices.  Endpoints +-1 are not nodes.
@@ -88,14 +90,14 @@ def _panel(fun, lo, hi, owner):
     return k15, np.where(np.isnan(err), np.inf, err)
 
 
-def _adaptive_batch(fun, lo, hi, abs_tol, max_panels=_MAX_PANELS):
+def _adaptive_batch(fun, lo, hi, abs_tol):
     """Integrate ``fun`` over [lo_i, hi_i] for every owner i.
 
     ``fun(x, owner)`` receives panel nodes of shape (nseg, 15) and the owning
     integral index per panel, and must return integrand values of the same
     shape.  Returns (values, error_bounds).  Zero-width intervals contribute
     zero.  An integral stops refining before it would hold more than
-    ``max_panels`` subintervals; when no integral can refine further, raises
+    ``_MAX_PANELS`` subintervals; when no integral can refine further, raises
     :class:`QuadratureError` if any is still short of ``abs_tol``.
     """
     n = lo.size
@@ -132,7 +134,7 @@ def _adaptive_batch(fun, lo, hi, abs_tol, max_panels=_MAX_PANELS):
         split = splittable & (seg_err >= 0.25 * omax[owner]) & (omax[owner] > 0)
         panels = (np.bincount(owner, minlength=n)
                   + np.bincount(owner[split], minlength=n))
-        split &= panels[owner] <= max_panels
+        split &= panels[owner] <= _MAX_PANELS
         if not split.any():
             break  # nothing can be refined further
 
@@ -154,7 +156,7 @@ def _adaptive_batch(fun, lo, hi, abs_tol, max_panels=_MAX_PANELS):
     bad = int(np.count_nonzero(~(err <= abs_tol)))
     raise QuadratureError(
         f"adaptive quadrature did not reach abs_tol={abs_tol:g} for {bad} of "
-        f"{n} integral(s) within {max_panels} subintervals each",
+        f"{n} integral(s) within {_MAX_PANELS} subintervals each",
         estimate=best,
         error_bound=err,
     )
@@ -215,49 +217,14 @@ def _check_tail_args(s, eta: float, a, b) -> None:
         )
 
 
-def _alternating_series(first, ratio, denom):
-    """Sum over k >= 0 of first * ratio**k / denom(k), elementwise.
+def _end_series(first, ratio, alpha: float, eta: float):
+    """first * sum_{k < 27} ratio**k / (alpha + eta*k), elementwise.
 
-    Callers pass -1/4 <= ratio <= 0 and denominators that grow with k, so
-    the terms alternate and fall in magnitude.  Each element stops once its
-    next term no longer changes its total (|term| <= eps*|total|), which
-    bounds its remainder by that term; no element waits on another.  That
-    takes about 30 terms at most.
+    Callers pass |ratio| <= 1/4, so the first omitted term is below
+    4**-27 < eps/2 of the first kept one and no element needs a stop rule.
     """
-    eps = np.finfo(float).eps
-    numer = first
-    term = numer / denom(0)
-    total = np.zeros_like(term)
-    active = np.ones(term.shape, dtype=bool)
-    for k in range(1, 200):
-        total = np.where(active, total + term, total)
-        numer = numer * ratio
-        term = numer / denom(k)
-        active &= np.abs(term) > eps * np.abs(total)
-        if not active.any():
-            break
-    return total
-
-
-def _tail_series_beyond(s, eta: float, c):
-    """Tail integral from c to infinity, for s*c**(-eta) <= 1/4.
-
-    The integrand expands as s*t**(1-eta) * sum_k (-s*t**(-eta))**k, giving
-    sum_k (-1)**k s**(k+1) c**(2-eta(k+1)) / (eta(k+1)-2).
-    """
-    pc = _pow_eta(c, eta)
-    return _alternating_series(s * c * c / pc, -s / pc,
-                               lambda k: eta * (k + 1) - 2.0)
-
-
-def _tail_series_below(s, eta: float, c):
-    """Tail integral from 0 to c, for c**eta/s <= 1/4.
-
-    The integrand expands as t * sum_k (-t**eta/s)**k, giving
-    sum_k (-1)**k c**(2+k*eta) / (s**k (2+k*eta)).
-    """
-    return _alternating_series(c * c, -_pow_eta(c, eta) / s,
-                               lambda k: eta * k + 2.0)
+    k = np.arange(_SERIES_TERMS - 1, -1, -1)
+    return first * np.polyval(1.0 / (alpha + eta * k), ratio)
 
 
 def tail_integral_batch(s, eta: float, a, b,
@@ -272,15 +239,18 @@ def tail_integral_batch(s, eta: float, a, b,
     the fall as s*t**(1-eta) above it are both exponentials, and the knee is
     a smooth bump, so one panel no longer straddles a kink that its
     |K15 - G7| gauge under-reports.  The two ends are summed analytically,
-    each element to its own machine precision:
+    both with ``_end_series``, first * sum_{k < 27} ratio**k / (alpha +
+    eta*k), where |ratio| <= 1/4 puts every omitted term below rounding:
 
     * upper is b, or c = max(a, (4s)**(1/eta)) when b is infinite, and the
-      far tail beyond c is added from its series in -s*t**(-eta);
+      far tail beyond c is added with first = s*c**(2-eta), ratio =
+      -s*c**(-eta) and alpha = eta - 2;
     * lower is max(a, c0) with c0 = min(upper, (s/4)**(1/eta)), and where
-      a < c0 the near part [a, c0] is added as the difference of its series
-      in -t**eta/s at c0 and at a (which is 0 at a = 0).  A panel that
-      starts just below the knee gauges its error conservatively; one that
-      starts far below it can under-report it.
+      a < c0 the near part [a, c0] is added as the integral over [0, x] at
+      x = c0 minus the one at x = a (0 at a = 0), each with first = x**2,
+      ratio = -x**eta/s and alpha = 2.  A panel that starts just below the
+      knee gauges its error conservatively; one that starts far below it
+      can under-report it.
 
     Accuracy does not degrade as eta approaches 2 from above.  The integrand
     is evaluated in blocks of panels (see ``_panel``), and every element's
@@ -312,8 +282,14 @@ def tail_integral_batch(s, eta: float, a, b,
         return t * tail_integrand(s[owner][:, None], eta, t)
 
     vals, _ = _adaptive_batch(fun, log_lower, np.log(upper), abs_tol)
-    vals[far] += _tail_series_beyond(s[far], eta, upper[far])
-    vals[near] += (_tail_series_below(s[near], eta, lower[near])
-                   - _tail_series_below(s[near], eta, a[near]))
+    if far.any():  # b = inf needs eta > 2; below, alpha + eta*k can be 0
+        c, sf = upper[far], s[far]
+        pc = _pow_eta(c, eta)
+        vals[far] += _end_series(sf * c * c / pc, -sf / pc, eta - 2.0, eta)
+
+    def below(x):  # the integral over [0, x], for x**eta <= s/4
+        return _end_series(x * x, -_pow_eta(x, eta) / s[near], 2.0, eta)
+
+    vals[near] += below(lower[near]) - below(a[near])
     out[idx] = vals
     return out.reshape(shape)

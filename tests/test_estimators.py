@@ -37,10 +37,6 @@ class TestThresholdGrid:
         with pytest.raises(ValueError):
             sc.ThresholdGrid.from_db_values([0.0, 0.0, 2.0])
 
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError):
-            sc.ThresholdGrid(np.array([0.0]), np.array([2.0]))
-
 
 class TestEstimatorSettings:
     def test_rejects_dominant_above_total(self):
@@ -304,6 +300,41 @@ class TestSgCoverage:
             single = sc.ThresholdGrid.from_db_values([t_db])
             alone = sc.sg_coverage(CFG, single)
             assert alone.estimates[0] == curve.estimates[j]
+
+
+@pytest.fixture(scope="module")
+def direct_rows_n20():
+    """20,000 direct-sampler distance rows of 20 at density 1."""
+    rng = np.random.default_rng(7411)
+    return np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng)
+                      .distances for _ in range(20_000)])
+
+
+class TestPairedCompletion:
+    """The hybrid completed with its far field beyond R_N averages to sg.
+
+    g = hybrid value * exp(-2*pi*lam * tail(s, R_N, inf)) is the coverage
+    conditioned on the K nearest distances with every interferer beyond R_K
+    averaged out, so E[g] = sg exactly; the check is two-sided.
+    """
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("N", [5, 20])
+    @pytest.mark.parametrize("eta", [3.0, 4.0])
+    def test_mean_matches_sg(self, direct_rows_n20, eta, N, K):
+        tol = 1e-9
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
+                               noise_power=0.1)
+        D = direct_rows_n20[:, :N]
+        s = GRID.thresholds_linear[None, :] * D[:, :1] ** eta
+        r_n = np.broadcast_to(D[:, N - 1:], s.shape)
+        g = (_hybrid_trial_values(D, s, K, N, cfg.bs_density,
+                                  cfg.noise_power, eta, tol)
+             * np.exp(-2.0 * math.pi * cfg.bs_density
+                      * sc.tail_integral_batch(s, eta, r_n, np.inf, tol)))
+        stderr = g.std(axis=0, ddof=1) / math.sqrt(g.shape[0])
+        z = (g.mean(axis=0) - sc.sg_coverage(cfg, GRID, tol).estimates) / stderr
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
 
 
 class TestDensityScaling:

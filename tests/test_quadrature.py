@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 import sinrcov as sc
+from sinrcov import quadrature
 from sinrcov.quadrature import (_PANEL_BLOCK, DEFAULT_ABS_TOL,
                                 QuadratureError, _adaptive_batch,
                                 _unit_interval)
@@ -19,10 +21,10 @@ def _tail(s, eta, a, b, abs_tol=DEFAULT_ABS_TOL):
     return float(sc.tail_integral_batch([s], eta, [a], [b], abs_tol)[0])
 
 
-def _integrate(f, a, b, abs_tol, **budget):
+def _integrate(f, a, b, abs_tol):
     """One integral of elementwise ``f`` over [a, b] through the engine."""
     vals, errs = _adaptive_batch(lambda x, owner: f(x), np.array([a]),
-                                 np.array([b]), abs_tol, **budget)
+                                 np.array([b]), abs_tol)
     return vals[0], errs[0]
 
 
@@ -60,25 +62,27 @@ class TestIntegrateAdaptive:
         _, err = _integrate(np.exp, -5.0, 0.0, 1e-8)
         assert 0.0 <= err <= 1e-8
 
-    def test_nan_reads_as_not_converged(self):
+    def test_nan_reads_as_not_converged(self, monkeypatch):
         # The NaN integral must raise, not pass with a NaN error estimate,
         # while its finite neighbour still converges.
         def fun(x, owner):
             return np.where(owner[:, None] == 0, np.nan, x)
 
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         with pytest.raises(QuadratureError, match="1 of 2") as excinfo:
-            _adaptive_batch(fun, np.zeros(2), np.ones(2), 1e-9, max_panels=16)
+            _adaptive_batch(fun, np.zeros(2), np.ones(2), 1e-9)
         err = excinfo.value
         assert not err.error_bound[0] <= 1e-9
         assert err.error_bound[1] <= 1e-9
         assert err.estimate[1] == pytest.approx(0.5, abs=1e-9)
 
-    def test_failure_carries_best_estimate(self):
+    def test_failure_carries_best_estimate(self, monkeypatch):
         # An oscillatory integrand cannot converge on 16 subintervals at a
         # tight tolerance; the failure must still expose the running estimate.
         f = lambda t: np.sin(50.0 * t * t)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         with pytest.raises(QuadratureError) as excinfo:
-            _integrate(f, 0.0, 4.0, 1e-13, max_panels=16)
+            _integrate(f, 0.0, 4.0, 1e-13)
         err = excinfo.value
         ref = scipy_integrate.quad(f, 0.0, 4.0, limit=400)[0]
         assert err.estimate.shape == err.error_bound.shape == (1,)
@@ -329,6 +333,47 @@ class TestHybridShapedTails:
         err = np.abs(sc.tail_integral_batch(s, eta, 0.0, b, tol)
                      - tail_integral_closed_form(s, eta, 0.0, b))
         assert err.max() <= tol, f"worst {err.max() / tol:.2f} x tol"
+
+
+class TestEndSeries:
+    """Tails whose quadrature interval is empty: the end series alone."""
+
+    RATIOS = np.array([1e-6, 1e-3, 0.1, 0.25])
+
+    # Warnings fail: for eta <= 2 the far series must not even be set up,
+    # since 1/(eta - 2 + eta*k) divides by 0 for some k.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 2.001, 3.0, 3.4142, 4.0,
+                                     6.0])
+    def test_matches_mpmath(self, monkeypatch, eta):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran on an empty interval")
+
+        monkeypatch.setattr(quadrature, "_panel", no_quadrature)
+        s = 2.0
+        want = []
+        # Near end: a = 0, b = (|ratio|*s)**(1/eta) <= (s/4)**(1/eta).  With
+        # t = b*sqrt(w) the integral is b**2/2 times that of 1/(1 + rho*w**p).
+        b = (self.RATIOS * s) ** (1.0 / eta) * (1.0 - 1e-14)
+        got = list(sc.tail_integral_batch(s, eta, 0.0, b))
+        with mp.workdps(30):
+            for bi in b:
+                rho, p = mp.mpf(bi) ** eta / s, mp.mpf(eta) / 2
+                want.append(mp.mpf(bi) ** 2 / 2 * mp.quad(
+                    lambda w: 1 / (1 + rho * w ** p), [0, 1]))
+            if eta > 2.0:
+                # Far end: a = (s/|ratio|)**(1/eta) >= (4s)**(1/eta), b = inf.
+                # t = a*w**(-1/(eta-2)) maps it onto [0, 1] without a
+                # singularity at w = 0.
+                a = (s / self.RATIOS) ** (1.0 / eta) * (1.0 + 1e-14)
+                got += list(sc.tail_integral_batch(s, eta, a, np.inf))
+                for ai in a:
+                    A = mp.mpf(ai)
+                    rho, p = s / A ** eta, mp.mpf(eta) / (eta - 2)
+                    want.append(s * A ** (2 - eta) / (eta - 2) * mp.quad(
+                        lambda w: 1 / (1 + rho * w ** p), [0, 1]))
+        rel = [float(abs(g - w) / w) for g, w in zip(got, want)]
+        assert max(rel) <= 1e-14, rel
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
