@@ -19,18 +19,8 @@ from .estimators import (
     prob_model_coverage,
     sg_coverage,
 )
-from .geometry import (
-    NetworkConfig,
-    PppRealization,
-    nearest_window_distances,
-    sample_ordered_distances_direct,
-)
-from .quadrature import (
-    QuadratureError,
-    tail_integral_batch,
-    tail_integrand,
-)
-from .streams import trial_stream
+from .geometry import NetworkConfig
+from .quadrature import QuadratureError, tail_integral_batch
 
 __version__ = "0.1.0"
 
@@ -40,7 +30,6 @@ __all__ = [
     "EstimatorSettings",
     "ModelValidityError",
     "NetworkConfig",
-    "PppRealization",
     "ProbModelParams",
     "QuadratureError",
     "TailErrorReport",
@@ -50,14 +39,9 @@ __all__ = [
     "expected_tail_truncation_error",
     "hybrid_coverage",
     "interference_moment_coefficient",
-    "nearest_window_distances",
     "prob_model_coverage",
-    "sample_ordered_distances_direct",
     "sg_coverage",
     "tail_error_report",
     "tail_integral_batch",
-    "tail_integrand",
-    "trial_stream",
     "__version__",
 ]
-

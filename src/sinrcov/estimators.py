@@ -79,10 +79,13 @@ class EstimatorSettings:
                 f"need 1 <= dominant_count <= interferer_total, got "
                 f"K={self.dominant_count}, N={self.interferer_total}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.quad_abs_tol > 0:
-            raise ValueError(f"quad_abs_tol must be > 0, got {self.quad_abs_tol}")
+        # Trial indices fill the low bits of each substream key.
+        if not 1 <= self.trials <= 2**streams._INDEX_BITS:
+            raise ValueError(f"trials must be in [1, 2**{streams._INDEX_BITS}],"
+                             f" got {self.trials}")
+        if not 0 < self.quad_abs_tol < math.inf:
+            raise ValueError(
+                f"quad_abs_tol must be finite and > 0, got {self.quad_abs_tol}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(
                 f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -97,8 +100,9 @@ class ThresholdGrid:
 
     def __post_init__(self) -> None:
         db = np.asarray(self.thresholds_db, dtype=float)
-        if db.ndim != 1 or db.size == 0:
-            raise ValueError("thresholds must be a non-empty 1-D array")
+        if db.ndim != 1 or db.size == 0 or not np.isfinite(db).all():
+            raise ValueError("thresholds must be a non-empty 1-D array of "
+                             "finite values")
         if np.any(np.diff(db) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds_db", db)
@@ -108,18 +112,15 @@ class ThresholdGrid:
         return self.thresholds_db.size
 
     @classmethod
-    def from_db_values(cls, values) -> "ThresholdGrid":
-        return cls(values)
-
-    @classmethod
     def from_db_range(cls, tmin_db: float, tmax_db: float,
                       tstep_db: float) -> "ThresholdGrid":
-        if not tstep_db > 0:
-            raise ValueError(f"tstep_db must be > 0, got {tstep_db}")
-        if tmax_db < tmin_db:
-            raise ValueError("tmax_db must be >= tmin_db")
+        if not 0 < tstep_db < math.inf:
+            raise ValueError(f"tstep_db must be finite and > 0, got {tstep_db}")
+        if not -math.inf < tmin_db <= tmax_db < math.inf:
+            raise ValueError(f"need finite tmin_db <= tmax_db, got "
+                             f"{tmin_db} and {tmax_db}")
         count = int(math.floor((tmax_db - tmin_db) / tstep_db + 1e-9)) + 1
-        return cls.from_db_values(tmin_db + tstep_db * np.arange(count))
+        return cls(tmin_db + tstep_db * np.arange(count))
 
     @classmethod
     def from_linear_values(cls, values) -> "ThresholdGrid":
@@ -159,10 +160,14 @@ class ProbModelParams:
     interferer_total: int
 
     def __post_init__(self) -> None:
-        if not self.sigma_s_sq >= 0:
-            raise ValueError(f"sigma_s_sq must be >= 0, got {self.sigma_s_sq}")
-        if not self.sigma0_sq > 0:
-            raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
+        if not math.isfinite(self.mu_s):
+            raise ValueError(f"mu_s must be finite, got {self.mu_s}")
+        if not 0 <= self.sigma_s_sq < math.inf:
+            raise ValueError(
+                f"sigma_s_sq must be finite and >= 0, got {self.sigma_s_sq}")
+        if not 0 < self.sigma0_sq < math.inf:
+            raise ValueError(
+                f"sigma0_sq must be finite and > 0, got {self.sigma0_sq}")
         if self.interferer_total < 2:
             raise ValueError(
                 f"interferer_total must be >= 2, got {self.interferer_total}"
@@ -366,8 +371,9 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
             f"the infinite-network benchmark requires pathloss_exponent > 2, "
             f"got {eta}"
         )
-    if not quad_abs_tol > 0:
-        raise ValueError(f"quad_abs_tol must be > 0, got {quad_abs_tol}")
+    if not 0 < quad_abs_tol < math.inf:
+        raise ValueError(f"quad_abs_tol must be finite and > 0, got "
+                         f"{quad_abs_tol}")
     lam, sig2 = cfg.bs_density, cfg.noise_power
     t_lin = grid.thresholds_linear
     n = len(grid)

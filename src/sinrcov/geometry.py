@@ -30,16 +30,18 @@ class NetworkConfig:
     half_width: float = 40.0
 
     def __post_init__(self) -> None:
-        if not self.bs_density > 0:
-            raise ValueError(f"bs_density must be > 0, got {self.bs_density}")
-        if not self.pathloss_exponent > 0:
+        if not 0 < self.bs_density < math.inf:
             raise ValueError(
-                f"pathloss_exponent must be > 0, got {self.pathloss_exponent}"
-            )
-        if not self.noise_power >= 0:
-            raise ValueError(f"noise_power must be >= 0, got {self.noise_power}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
+                f"bs_density must be finite and > 0, got {self.bs_density}")
+        if not 0 < self.pathloss_exponent < math.inf:
+            raise ValueError(f"pathloss_exponent must be finite and > 0, "
+                             f"got {self.pathloss_exponent}")
+        if not 0 <= self.noise_power < math.inf:
+            raise ValueError(
+                f"noise_power must be finite and >= 0, got {self.noise_power}")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(
+                f"half_width must be finite and > 0, got {self.half_width}")
 
     @property
     def expected_window_count(self) -> float:
@@ -54,35 +56,23 @@ class PppRealization:
     distances: np.ndarray
     point_count: int
 
-    def __post_init__(self) -> None:
-        if self.point_count != len(self.distances):
-            raise ValueError(
-                f"point_count {self.point_count} != len(distances) "
-                f"{len(self.distances)}"
-            )
-        if self.point_count > 1 and np.any(np.diff(self.distances) < 0):
-            raise ValueError("distances must be sorted ascending")
-
 
 def nearest_window_distances(
-    cfg: NetworkConfig, count: int | None, rng: np.random.Generator
+    cfg: NetworkConfig, count: int, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Draw one realization on the [-L, L]^2 window.
 
     The point count is Poisson(bs_density * (2L)^2) and locations are uniform
     on the window.  Returns the total point count and the ``count`` nearest
-    distances sorted ascending, or every distance when ``count`` is None.  If
-    the realization holds fewer than ``count`` points, all of them are
-    returned and the caller sees the shortfall via the returned total.  The
-    stream is consumed the same way for every ``count``, so the leading
-    distances do not depend on it.
+    distances sorted ascending.  If the realization holds fewer than
+    ``count`` points, all of them are returned and the caller sees the
+    shortfall via the returned total.  The stream is consumed the same way
+    for every ``count``, so the leading distances do not depend on it.
     """
     total = int(rng.poisson(cfg.expected_window_count))
-    if total == 0:
-        return 0, np.empty(0)
     pts = rng.uniform(-cfg.half_width, cfg.half_width, size=(total, 2))
     sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
-    if count is not None and total > count:
+    if total > count:
         sq = np.partition(sq, count - 1)[:count]
     sq.sort()
     return total, np.sqrt(sq)
@@ -95,12 +85,9 @@ def sample_ordered_distances_direct(
 
     Squared distances are cumulative sums of i.i.d. Exponential increments
     with mean 1/(pi*bs_density), so the i-th squared distance is
-    Gamma(i, 1/(pi*bs_density)) distributed.
+    Gamma(i, 1/(pi*bs_density)) distributed and the draw is sorted by
+    construction.  ``NetworkConfig`` and ``EstimatorSettings`` have already
+    checked the density and the count.
     """
-    if not bs_density > 0:
-        raise ValueError(f"bs_density must be > 0, got {bs_density}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     sq = rng.exponential(1.0 / (math.pi * bs_density), size=count).cumsum()
     return PppRealization(distances=np.sqrt(sq), point_count=count)
-

@@ -197,8 +197,7 @@ def tail_integrand(s, eta: float, t):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = s * t / (_pow_eta(t, eta) + s)
         # 0/0 where t**eta + s vanishes (s = 0) reads as 0.
-        out = np.where(np.isfinite(out), out, 0.0)
-    return out if out.ndim else float(out)
+        return np.where(np.isfinite(out), out, 0.0)
 
 
 def _check_tail_args(s, eta: float, a, b) -> None:

@@ -9,6 +9,9 @@ per trial) simply derive the same key.
 
 Key layout: Philox takes a 128-bit key; word 0 is the root seed, word 1 packs
 ``domain`` into the top 16 bits and the trial index into the low 48 bits.
+The key is built unchecked: domains are the constants below, and
+``EstimatorSettings`` bounds the seed to 64 bits and the trial count to
+``2**48``.
 """
 from __future__ import annotations
 
@@ -25,11 +28,5 @@ _INDEX_BITS = 48
 
 def trial_stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Return the generator for one (seed, domain, trial-index) substream."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0 <= domain < 2**16:
-        raise ValueError(f"stream domain out of range: {domain}")
-    if not 0 <= index < 2**_INDEX_BITS:
-        raise ValueError(f"trial index out of range: {index}")
     key = np.array([seed, (domain << _INDEX_BITS) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import sinrcov as sc
+from sinrcov.geometry import (nearest_window_distances,
+                              sample_ordered_distances_direct)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -30,7 +32,7 @@ def window_prefix_draws():
     counts = np.empty(n, dtype=int)
     first5 = np.full((n, 5), np.nan)
     for m in range(n):
-        counts[m], d = sc.nearest_window_distances(cfg, 5, rng)
+        counts[m], d = nearest_window_distances(cfg, 5, rng)
         first5[m, :d.size] = d
     return counts, first5
 
@@ -42,5 +44,5 @@ def direct_prefix_draws():
     n = 10_000
     first5 = np.empty((n, 5))
     for m in range(n):
-        first5[m] = sc.sample_ordered_distances_direct(1.0, 5, rng).distances
+        first5[m] = sample_ordered_distances_direct(1.0, 5, rng).distances
     return first5

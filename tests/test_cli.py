@@ -99,6 +99,22 @@ class TestParseArgs:
         ["--tstep-db", "0"],
         ["--no-such-flag"],
         ["--lambda", "0.001", "--half-width", "1", "--N", "10"],  # tiny window
+        ["--tmax-db", "inf"],                                 # non-finite
+        ["--tmin-db", "nan"],
+        ["--tstep-db", "inf"],
+        ["--quad-tol", "inf"],
+        ["--eta", "inf"],
+        ["--lambda", "inf"],
+        ["--noise", "nan"],
+        ["--half-width", "inf"],
+        ["--methods", "probabilistic", "--mu-S", "nan", "--sigma-S-sq",
+         "0.05", "--sigma0-sq", "1"],
+        ["--methods", "probabilistic", "--mu-S", "inf", "--sigma-S-sq",
+         "0.05", "--sigma0-sq", "1"],
+        ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
+         "inf", "--sigma0-sq", "1"],
+        ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
+         "0.05", "--sigma0-sq", "inf"],
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,9 +7,10 @@ import pytest
 import sinrcov as sc
 from sinrcov import streams
 from sinrcov.estimators import ModelValidityError, _hybrid_trial_values
+from sinrcov.geometry import sample_ordered_distances_direct
 
-from oracles import (sg_eta4_coverage, sg_noise_free_coverage,
-                     tail_integral_closed_form)
+from oracles import (hybrid_expectation, sg_eta4_coverage,
+                     sg_noise_free_coverage, tail_integral_closed_form)
 
 CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                        noise_power=0.1, half_width=40.0)
@@ -35,7 +36,12 @@ class TestThresholdGrid:
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
-            sc.ThresholdGrid.from_db_values([0.0, 0.0, 2.0])
+            sc.ThresholdGrid([0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("values", [[0.0, math.inf], [math.nan]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError):
+            sc.ThresholdGrid(values)
 
 
 class TestEstimatorSettings:
@@ -46,6 +52,12 @@ class TestEstimatorSettings:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             sc.EstimatorSettings(trials=0)
+
+    def test_rejects_trials_beyond_stream_index(self):
+        # Trial indices must fit the 48 index bits of a substream key.
+        with pytest.raises(ValueError):
+            sc.EstimatorSettings(trials=2**48 + 1)
+        sc.EstimatorSettings(trials=2**48)
 
 
 def _sample_value(s, distances, K, N, quad_abs_tol=1e-6):
@@ -106,7 +118,7 @@ class TestHybridCoverage:
         acc = np.zeros(len(GRID))
         for m in range(st.trials):
             rng = streams.trial_stream(9, streams.GEOMETRY_DIRECT, m)
-            d = sc.sample_ordered_distances_direct(1.0, 5, rng).distances
+            d = sample_ordered_distances_direct(1.0, 5, rng).distances
             s = t_lin * d[0] ** 4
             vals = np.exp(-s * 0.1)
             for i in range(1, 5):
@@ -297,7 +309,7 @@ class TestSgCoverage:
     def test_value_does_not_depend_on_grid(self):
         curve = sc.sg_coverage(CFG, GRID)
         for j, t_db in enumerate(GRID.thresholds_db):
-            single = sc.ThresholdGrid.from_db_values([t_db])
+            single = sc.ThresholdGrid([t_db])
             alone = sc.sg_coverage(CFG, single)
             assert alone.estimates[0] == curve.estimates[j]
 
@@ -306,7 +318,7 @@ class TestSgCoverage:
 def direct_rows_n20():
     """20,000 direct-sampler distance rows of 20 at density 1."""
     rng = np.random.default_rng(7411)
-    return np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng)
+    return np.vstack([sample_ordered_distances_direct(1.0, 20, rng)
                       .distances for _ in range(20_000)])
 
 
@@ -334,6 +346,42 @@ class TestPairedCompletion:
                       * sc.tail_integral_batch(s, eta, r_n, np.inf, tol)))
         stderr = g.std(axis=0, ddof=1) / math.sqrt(g.shape[0])
         z = (g.mean(axis=0) - sc.sg_coverage(cfg, GRID, tol).estimates) / stderr
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+
+
+class TestExactExpectation:
+    """Monte Carlo curves against their exact expectations at density 1.
+
+    ``hybrid_expectation`` integrates the hybrid's value over (r, R_N) by
+    deterministic quadrature; at K = N it is also the truncated network's
+    coverage P_N, which the simulation estimates.  With seed 4242 the worst
+    |z| over the 21 thresholds was 2.08 for the hybrid and 2.07 for the
+    simulation.
+    """
+
+    @pytest.mark.parametrize("eta,N,K", [(2.0, 5, 1), (4.0, 10, 10),
+                                         (3.4142, 20, 1), (3.0, 5, 5),
+                                         (2.0, 5, 5)])
+    def test_direct_hybrid(self, eta, N, K):
+        cfg = sc.NetworkConfig(pathloss_exponent=eta)
+        st = sc.EstimatorSettings(dominant_count=K, interferer_total=N,
+                                  trials=20_000, seed=4242)
+        curve = sc.hybrid_coverage(cfg, st, GRID, sampler="direct")
+        exact = hybrid_expectation(eta, N, K, cfg.bs_density,
+                                   cfg.noise_power, GRID.thresholds_linear)
+        z = (curve.estimates - exact) / curve.stderrs
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+
+    @pytest.mark.parametrize("eta,N", [(4.0, 10), (3.0, 5), (2.0, 5)])
+    def test_window_simulation(self, eta, N):
+        cfg = sc.NetworkConfig(pathloss_exponent=eta)
+        st = sc.EstimatorSettings(dominant_count=N, interferer_total=N,
+                                  trials=20_000, seed=4242)
+        curve = sc.empirical_coverage(cfg, st, GRID)
+        exact = hybrid_expectation(eta, N, N, cfg.bs_density,
+                                   cfg.noise_power, GRID.thresholds_linear)
+        stderr = np.sqrt(exact * (1.0 - exact) / curve.trials_used)
+        z = (curve.estimates - exact) / stderr
         assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
 
 

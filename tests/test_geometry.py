@@ -7,6 +7,8 @@ from scipy import stats
 
 import sinrcov as sc
 from sinrcov import streams
+from sinrcov.geometry import (nearest_window_distances,
+                              sample_ordered_distances_direct)
 
 from oracles import serving_distance_density
 
@@ -22,20 +24,16 @@ class TestNetworkConfig:
         {"pathloss_exponent": 0.0},
         {"noise_power": -0.1},
         {"half_width": 0.0},
+        {"bs_density": math.inf},
+        {"bs_density": math.nan},
+        {"pathloss_exponent": math.inf},
+        {"noise_power": math.inf},
+        {"noise_power": math.nan},
+        {"half_width": math.inf},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             sc.NetworkConfig(**kwargs)
-
-
-class TestPppRealization:
-    def test_count_must_match_length(self):
-        with pytest.raises(ValueError):
-            sc.PppRealization(distances=np.array([1.0, 2.0]), point_count=3)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            sc.PppRealization(distances=np.array([2.0, 1.0]), point_count=2)
 
 
 class TestWindowSampler:
@@ -52,16 +50,16 @@ class TestWindowSampler:
     def test_vanishing_density_yields_empty_draw(self):
         cfg = sc.NetworkConfig(bs_density=1e-12, half_width=1.0)
         rng = np.random.default_rng(1)
-        total, distances = sc.nearest_window_distances(cfg, None, rng)
+        total, distances = nearest_window_distances(cfg, 5, rng)
         assert total == 0
         assert distances.size == 0
 
     def test_prefix_path_matches_full_sampler(self):
         cfg = sc.NetworkConfig()
         for m in range(5):
-            total_all, full = sc.nearest_window_distances(
-                cfg, None, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
-            total, prefix = sc.nearest_window_distances(
+            total_all, full = nearest_window_distances(
+                cfg, 10**6, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
+            total, prefix = nearest_window_distances(
                 cfg, 12, streams.trial_stream(7, streams.GEOMETRY_WINDOW, m))
             assert total == total_all == full.size
             np.testing.assert_array_equal(prefix, full[:12])
@@ -80,12 +78,6 @@ class TestWindowSampler:
 
 
 class TestDirectSampler:
-    @pytest.mark.parametrize("lam,count", [(0.0, 3), (-1.0, 3), (1.0, 0)])
-    def test_rejects_bad_arguments(self, lam, count):
-        with pytest.raises(ValueError):
-            sc.sample_ordered_distances_direct(lam, count,
-                                               np.random.default_rng(0))
-
     def test_mean_squared_distances(self, direct_prefix_draws):
         sq = direct_prefix_draws ** 2
         # first squared distance ~ Exp(1/pi), second ~ Gamma(2, 1/pi)
@@ -97,15 +89,15 @@ class TestDirectSampler:
     def test_single_count_matches_serving_law(self):
         rng = np.random.default_rng(77)
         draws = np.array([
-            sc.sample_ordered_distances_direct(1.0, 1, rng).distances[0]
+            sample_ordered_distances_direct(1.0, 1, rng).distances[0]
             for _ in range(4000)
         ])
         cdf = lambda r: 1.0 - np.exp(-math.pi * r * r)
         assert stats.kstest(draws, cdf).pvalue > 0.001
 
     def test_output_sorted(self):
-        real = sc.sample_ordered_distances_direct(2.5, 50,
-                                                  np.random.default_rng(5))
+        real = sample_ordered_distances_direct(2.5, 50,
+                                               np.random.default_rng(5))
         assert real.point_count == 50
         assert np.all(np.diff(real.distances) > 0)
 

@@ -9,6 +9,7 @@ from scipy import integrate as scipy_integrate
 
 import sinrcov as sc
 from sinrcov import quadrature
+from sinrcov.geometry import sample_ordered_distances_direct
 from sinrcov.quadrature import (_PANEL_BLOCK, DEFAULT_ABS_TOL,
                                 QuadratureError, _adaptive_batch,
                                 _unit_interval)
@@ -103,15 +104,15 @@ class TestIntegrateAdaptive:
 
 class TestTailIntegrand:
     def test_zero_s(self):
-        assert sc.tail_integrand(0.0, 4.0, 2.0) == 0.0
+        assert quadrature.tail_integrand(0.0, 4.0, 2.0) == 0.0
 
     def test_unit_point(self):
-        assert sc.tail_integrand(1.0, 4.0, 1.0) == pytest.approx(0.5)
+        assert quadrature.tail_integrand(1.0, 4.0, 1.0) == pytest.approx(0.5)
 
     def test_far_field_asymptote(self):
         # beyond the cross-over radius the integrand follows s * t**(1-eta)
         t = 1e3
-        value = sc.tail_integrand(1.0, 4.0, t)
+        value = quadrature.tail_integrand(1.0, 4.0, t)
         assert value == pytest.approx(t ** -3, rel=0.01)
 
     def test_bounded_by_t(self):
@@ -119,7 +120,7 @@ class TestTailIntegrand:
         s = 10 ** rng.uniform(-3, 3, 300)
         t = 10 ** rng.uniform(-3, 3, 300)
         for eta in (2.0, 3.0, 3.4142, 4.0):
-            vals = sc.tail_integrand(s, eta, t)
+            vals = quadrature.tail_integrand(s, eta, t)
             assert np.all(vals >= 0.0)
             assert np.all(vals <= t * (1 + 1e-12))
 
@@ -262,7 +263,7 @@ class TestTailIntegralBatch:
         # blocks of 32 rows get.
         eta = 3.4142
         rng = np.random.default_rng(5)
-        D = np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng)
+        D = np.vstack([sample_ordered_distances_direct(1.0, 20, rng)
                        .distances for _ in range(256)])
         grid = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 0.05)
         s = grid.thresholds_linear[None, :] * D[:, :1] ** eta
@@ -291,7 +292,7 @@ class TestTailIntegralBatch:
 def hybrid_k1_n20_radii():
     """r and R_20 of 10,000 direct-sampler trials at density 1."""
     rng = np.random.default_rng(2)
-    D = np.vstack([sc.sample_ordered_distances_direct(1.0, 20, rng).distances
+    D = np.vstack([sample_ordered_distances_direct(1.0, 20, rng).distances
                    for _ in range(10_000)])
     return D[:, 0], D[:, 19]
 
