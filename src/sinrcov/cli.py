@@ -1,9 +1,10 @@
 """Batch sweep front-end: parse flags, run method sweeps, emit CSV.
 
 The CSV schema is fixed: header ``method,eta,N,K,T_db,coverage,stderr,
-trials_used``, one row per grid point, rows ordered by (method, N, K, T_db),
-floats printed with 9 significant digits.  Progress goes to stderr so piped
-CSV stays clean.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
+trials_used``, one row per grid point, floats printed with 9 significant
+digits.  ``run_sweep`` fixes the row order, (method, N, K, T_db), and
+``write_csv`` keeps it.  Progress goes to stderr so piped CSV stays clean.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -43,7 +44,11 @@ CSV_HEADER = "method,eta,N,K,T_db,coverage,stderr,trials_used"
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Fully validated description of one sweep run."""
+    """Fully validated description of one sweep run.
+
+    ``settings[(n, k)]`` and ``moments[n]`` (probabilistic runs only) hold
+    the validated inputs of every curve.
+    """
 
     network: NetworkConfig
     grid: ThresholdGrid
@@ -56,9 +61,8 @@ class SweepSpec:
     sampler: str
     threads: int
     output_path: str
-    mu_s: float | None = None
-    sigma_s_sq: float | None = None
-    sigma0_sq: float | None = None
+    settings: dict
+    moments: dict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +130,8 @@ def parse_args(argv=None) -> SweepSpec:
                          f"{', '.join(_ALL_METHODS)}")
     methods = tuple(sorted(set(methods)))
 
+    # Methods run in sorted order, so sg's own eta check would fire only
+    # after the hybrid curves were computed, and exit 3.
     if METHOD_SG in methods and args.eta <= 2.0:
         parser.error(
             f"method 'sg' requires --eta > 2 (infinite-network integral "
@@ -161,14 +167,17 @@ def parse_args(argv=None) -> SweepSpec:
         )
         grid = ThresholdGrid.from_db_range(args.tmin_db, args.tmax_db,
                                            args.tstep_db)
-        for n in n_list:
-            for k in k_list:
-                EstimatorSettings(dominant_count=k, interferer_total=n,
-                                  trials=args.trials,
-                                  quad_abs_tol=args.quad_tol, seed=args.seed)
-            if probabilistic:
-                ProbModelParams(mu_s=args.mu_s, sigma_s_sq=args.sigma_s_sq,
-                                sigma0_sq=args.sigma0_sq, interferer_total=n)
+        settings = {
+            (n, k): EstimatorSettings(dominant_count=k, interferer_total=n,
+                                      trials=args.trials,
+                                      quad_abs_tol=args.quad_tol,
+                                      seed=args.seed)
+            for n in n_list for k in k_list}
+        moments = {n: ProbModelParams(mu_s=args.mu_s,
+                                      sigma_s_sq=args.sigma_s_sq,
+                                      sigma0_sq=args.sigma0_sq,
+                                      interferer_total=n)
+                   for n in n_list if probabilistic}
         if METHOD_SIMULATION in methods or (
                 METHOD_HYBRID in methods and args.sampler == SAMPLER_WINDOW):
             _check_window_feasible(network, max(n_list))
@@ -179,16 +188,12 @@ def parse_args(argv=None) -> SweepSpec:
         network=network, grid=grid, methods=methods, n_list=n_list,
         k_list=k_list, trials=args.trials, quad_abs_tol=args.quad_tol,
         seed=args.seed, sampler=args.sampler, threads=args.threads,
-        output_path=args.out, mu_s=args.mu_s, sigma_s_sq=args.sigma_s_sq,
-        sigma0_sq=args.sigma0_sq,
+        output_path=args.out, settings=settings, moments=moments,
     )
 
 
 def _compute(method: str, spec: SweepSpec, n: int, k: int) -> CoverageCurve:
-    settings = EstimatorSettings(
-        dominant_count=k, interferer_total=n, trials=spec.trials,
-        quad_abs_tol=spec.quad_abs_tol, seed=spec.seed,
-    )
+    settings = spec.settings[(n, k)]
     if method == METHOD_HYBRID:
         return hybrid_coverage(spec.network, settings, spec.grid,
                                sampler=spec.sampler, threads=spec.threads)
@@ -197,9 +202,7 @@ def _compute(method: str, spec: SweepSpec, n: int, k: int) -> CoverageCurve:
                                   threads=spec.threads)
     if method == METHOD_SG:
         return sg_coverage(spec.network, spec.grid, spec.quad_abs_tol)
-    params = ProbModelParams(mu_s=spec.mu_s, sigma_s_sq=spec.sigma_s_sq,
-                             sigma0_sq=spec.sigma0_sq, interferer_total=n)
-    return prob_model_coverage(params, spec.network, spec.grid)
+    return prob_model_coverage(spec.moments[n], spec.network, spec.grid)
 
 
 def _cache_key(method: str, n: int, k: int):
@@ -213,6 +216,9 @@ def _cache_key(method: str, n: int, k: int):
 
 def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
     """One CoverageCurve per (method, N, K) combination, deterministically.
+
+    Curves come in sorted (method, N, K) order over strictly increasing
+    thresholds, so their rows are in (method, N, K, T_db) order.
 
     An estimator failure is re-raised as the same exception, with its type
     and payload, and the failing combination appended to its message.
@@ -244,19 +250,15 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(curves, path: str) -> None:
-    """Write curves at 9 significant digits, ordered by (method, N, K, T_db)."""
-    rows = []
-    for c in curves:
-        for j in range(len(c.thresholds_db)):
-            rows.append((c.method, c.interferer_total, c.dominant_count,
-                         float(c.thresholds_db[j]), c.eta,
-                         float(c.estimates[j]), float(c.stderrs[j]),
-                         int(c.trials_used[j])))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    """Write curves at 9 significant digits, rows in the order given."""
     lines = [CSV_HEADER + "\n"]
-    for method, n, k, t_db, eta, est, se, used in rows:
-        lines.append(f"{method},{_fmt(eta)},{n},{k},{_fmt(t_db)},"
-                     f"{_fmt(est)},{_fmt(se)},{used}\n")
+    for c in curves:
+        head = (f"{c.method},{_fmt(c.eta)},{c.interferer_total},"
+                f"{c.dominant_count}")
+        for t_db, est, se, used in zip(c.thresholds_db, c.estimates,
+                                       c.stderrs, c.trials_used):
+            lines.append(f"{head},{_fmt(t_db)},{_fmt(est)},{_fmt(se)},"
+                         f"{int(used)}\n")
     text = "".join(lines)
     if path == "-":
         sys.stdout.write(text)

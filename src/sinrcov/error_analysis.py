@@ -42,16 +42,15 @@ def _expected_tail_errors(eta: float, counts, threshold: float,
     b in [0, 1] of (N-1)(1-b)**(N-2) * (1 - (1 + 2b*I_T(b**-0.5))**-N), which
     does not depend on lam.  I_T gets ``quad_abs_tol``/4 and the b-integral
     ``quad_abs_tol``/2; the derivative in I_T integrates to at most 2, so the
-    total stays within ``quad_abs_tol``.
+    total stays within ``quad_abs_tol``.  For eta <= 2 the first integrand
+    call raises ``ValueError``, since the tail to infinity diverges.
     """
-    if eta <= 2.0:
-        raise ValueError(
-            f"tail error terms require pathloss_exponent > 2, got {eta}")
     n = np.asarray(counts, dtype=float)
-    if np.any(n < 2):
-        raise ValueError(f"interferer counts must be >= 2, got {counts}")
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if not np.all((n >= 2) & (n < math.inf) & (n == np.floor(n))):
+        raise ValueError(f"interferer counts must be integers >= 2, got "
+                         f"{counts}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
 
     def integrand(b, owner):
         tail = tail_integral_batch(threshold, eta, 1.0 / np.sqrt(b), math.inf,
@@ -93,8 +92,10 @@ def convergence_slope(counts, means) -> float:
         raise ValueError("counts and means must be equal-length 1-D arrays")
     if np.unique(counts).size < 3:
         raise ValueError(f"need at least 3 distinct counts, got {counts}")
-    if np.any(counts <= 0) or np.any(means <= 0):
-        raise ValueError("counts and means must be positive for a log-log fit")
+    if not np.all(np.isfinite(counts) & np.isfinite(means) & (counts > 0)
+                  & (means > 0)):
+        raise ValueError(
+            "counts and means must be finite and positive for a log-log fit")
     x = np.log(counts)
     y = np.log(means)
     x_c = x - x.mean()
@@ -124,9 +125,10 @@ def tail_error_report(cfg: NetworkConfig, threshold: float,
     :func:`convergence_slope`); at threshold 1 and eta=3 saturation
     flattens it to about -0.27.
     """
-    counts = tuple(int(n) for n in interferer_counts)
+    counts = tuple(interferer_counts)
     eta = cfg.pathloss_exponent
     means = _expected_tail_errors(eta, counts, threshold, quad_abs_tol)
+    counts = tuple(int(n) for n in counts)
     half = 0.5 * eta
     bounds = np.array([
         (2.0 * threshold / (eta - 2.0)) * n

@@ -53,6 +53,10 @@ METHOD_PROBABILISTIC = "probabilistic"
 # Trials are processed in fixed-size blocks; partial sums are reduced in
 # block order, so results are identical for any worker count.
 _TRIAL_BLOCK = 1024
+# A block holds several float64 arrays of _TRIAL_BLOCK x thresholds; the
+# cap keeps each at 128 MiB (16,384 thresholds, against 401 in the densest
+# grid of the tests and benchmarks) and makes an oversized grid a ValueError.
+_MAX_THRESHOLDS = (128 << 20) // (8 * _TRIAL_BLOCK)
 
 
 class EstimatorError(RuntimeError):
@@ -119,15 +123,11 @@ class ThresholdGrid:
         if not -math.inf < tmin_db <= tmax_db < math.inf:
             raise ValueError(f"need finite tmin_db <= tmax_db, got "
                              f"{tmin_db} and {tmax_db}")
-        count = int(math.floor((tmax_db - tmin_db) / tstep_db + 1e-9)) + 1
-        return cls(tmin_db + tstep_db * np.arange(count))
-
-    @classmethod
-    def from_linear_values(cls, values) -> "ThresholdGrid":
-        lin = np.asarray(values, dtype=float)
-        if np.any(lin <= 0):
-            raise ValueError("linear thresholds must be positive")
-        return cls(10.0 * np.log10(lin))
+        span = (tmax_db - tmin_db) / tstep_db + 1e-9
+        if not span < _MAX_THRESHOLDS:
+            raise ValueError(f"the grid would hold {span:.4g} thresholds; at "
+                             f"most {_MAX_THRESHOLDS} are allowed")
+        return cls(tmin_db + tstep_db * np.arange(int(math.floor(span)) + 1))
 
 
 @dataclass(frozen=True)
@@ -363,14 +363,10 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     IEEE TCOM 2011, Theorem 2).  I(T) gets ``quad_abs_tol``/4 and the
     v-integral ``quad_abs_tol``/2; |d sg / d I| <= 2 keeps the total within
     ``quad_abs_tol``.  Each threshold's value is the one it gets alone.
-    Only defined for pathloss exponents above 2.
+    Only defined for pathloss exponents above 2: below that the tail
+    integral refuses its infinite upper limit with ``ValueError``.
     """
     eta = cfg.pathloss_exponent
-    if eta <= 2.0:
-        raise ValueError(
-            f"the infinite-network benchmark requires pathloss_exponent > 2, "
-            f"got {eta}"
-        )
     if not 0 < quad_abs_tol < math.inf:
         raise ValueError(f"quad_abs_tol must be finite and > 0, got "
                          f"{quad_abs_tol}")
@@ -398,10 +394,11 @@ def interference_moment_coefficient(i: int, bs_density: float) -> float:
     The i = 2 value is (67 - 96*ln 2)/(pi*lam)**2; for i >= 3 the
     Gamma-ratio series is evaluated in log space.
     """
-    if i < 2:
-        raise ValueError(f"coefficient defined for i >= 2, got {i}")
-    if not bs_density > 0:
-        raise ValueError(f"bs_density must be > 0, got {bs_density}")
+    if not (i >= 2 and i % 1 == 0):
+        raise ValueError(f"coefficient defined for integer i >= 2, got {i}")
+    if not 0 < bs_density < math.inf:
+        raise ValueError(
+            f"bs_density must be finite and > 0, got {bs_density}")
     return _moment_coefficient_unit(i) / (bs_density * bs_density)
 
 

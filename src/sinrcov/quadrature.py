@@ -201,19 +201,23 @@ def tail_integrand(s, eta: float, t):
 
 
 def _check_tail_args(s, eta: float, a, b) -> None:
-    if not eta > 0:
-        raise ValueError(f"pathloss exponent must be > 0, got {eta}")
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("s must be >= 0")
-    if np.any(np.asarray(a) < 0):
-        raise ValueError("lower limit must be >= 0")
-    if np.any(np.asarray(b) < np.asarray(a)):
-        raise ValueError("upper limit must be >= lower limit")
-    if np.any(np.isinf(np.asarray(b, dtype=float))) and eta <= 2.0:
+    """Owns the rule that a tail to infinity needs eta > 2.
+
+    NaN fails every comparison; s, and b when eta > 2, may be +inf.
+    """
+    if not 0 < eta < np.inf:
         raise ValueError(
-            f"tail integral diverges on an infinite interval for eta <= 2 "
-            f"(got eta={eta}); use a finite upper limit"
-        )
+            f"pathloss exponent must be finite and > 0, got {eta}")
+    if not np.all(np.asarray(s) >= 0):
+        raise ValueError("s must be >= 0")
+    if not np.all(np.asarray(a) >= 0):
+        raise ValueError("lower limit must be >= 0")
+    if not np.all(np.asarray(b) >= np.asarray(a)):
+        raise ValueError("upper limit must be >= lower limit")
+    if eta <= 2.0 and np.any(np.isinf(np.asarray(b, dtype=float))):
+        raise ValueError(
+            f"the tail integral to infinity diverges unless the pathloss "
+            f"exponent is > 2, got {eta}")
 
 
 def _end_series(first, ratio, alpha: float, eta: float):
@@ -259,8 +263,8 @@ def tail_integral_batch(s, eta: float, a, b,
                                   np.asarray(a, dtype=float),
                                   np.asarray(b, dtype=float))
     _check_tail_args(s, eta, a, b)
-    if not abs_tol > 0:
-        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
+    if not 0 < abs_tol < np.inf:
+        raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
     shape = s.shape
     s, a, b = s.ravel(), a.ravel(), b.ravel()
     out = np.zeros(s.size)

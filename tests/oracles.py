@@ -69,6 +69,13 @@ def tail_integral_betainc(s, eta: float, a, b):
     return out if out.ndim else float(out)
 
 
+def _scipy_tail(s, eta: float, a, b):
+    """The closed form at eta 2 and 4, the incomplete beta otherwise."""
+    if eta in (2.0, 4.0):
+        return tail_integral_closed_form(s, eta, a, b)
+    return tail_integral_betainc(s, eta, a, b)
+
+
 def hybrid_expectation(eta: float, N: int, K: int, lam: float, noise: float,
                        t_lin) -> np.ndarray:
     """Exact E[hybrid_{N,K}(T)] for K = 1 or K = N (test oracle).
@@ -96,9 +103,7 @@ def hybrid_expectation(eta: float, N: int, K: int, lam: float, noise: float,
     r_sq = (-np.log1p(-p) / (math.pi * lam))[:, None, None]
     rn_sq = r_sq + (gammaincinv(N - 1, p) / (math.pi * lam))[None, :, None]
     s = np.asarray(t_lin, dtype=float) * r_sq ** (0.5 * eta)
-    tail_fn = (tail_integral_closed_form if eta in (2.0, 4.0)
-               else tail_integral_betainc)
-    tail = tail_fn(s, eta, np.sqrt(r_sq), np.sqrt(rn_sq))
+    tail = _scipy_tail(s, eta, np.sqrt(r_sq), np.sqrt(rn_sq))
     if K == 1:
         value = np.exp(-s * noise - 2.0 * math.pi * lam * tail)
     else:
@@ -106,6 +111,37 @@ def hybrid_expectation(eta: float, N: int, K: int, lam: float, noise: float,
         annulus = 1.0 - 2.0 * tail / (rn_sq - r_sq)
         value = np.exp(-s * noise) * g * annulus ** (N - 2)
     return np.einsum("i,j,ijk->k", wx, wx, value)
+
+
+def binomial_completion(D, s, K: int, N: int, noise: float,
+                        eta: float) -> np.ndarray:
+    """The hybrid's per-trial value with its exact far field (test oracle).
+
+    Given R_K and R_N, the N-K-1 interferers between them lie i.i.d. uniform
+    on the annulus, a binomial process, and the one at R_N is fixed; so the
+    exact conditional mean of their fading product is
+    A(R_K, R_N)^(N-K-1) * g(R_N), with g(t) = 1/(1 + s*t^-eta) and
+    A(a, b) = 1 - 2*tail(s, a, b)/(b^2 - a^2).  The hybrid uses the Poisson
+    functional exp(-2*pi*lam*tail(s, R_K, R_N)) in its place; with that one
+    factor swapped back the value is unbiased for P_N at every K < N, and
+    its mean is ``hybrid_expectation(eta, N, N, ...)``.  No density enters:
+    given the distances, the binomial factor does not depend on it.
+
+    D holds distance rows, shape (trials, N), and s = T*r^eta has shape
+    (trials, thresholds).  The tails come from scipy, never the library.
+    """
+    if not 1 <= K < N:
+        raise ValueError(f"defined for 1 <= K < N, got K={K}, N={N}")
+
+    def g(t):
+        return 1.0 / (1.0 + s / t[:, None] ** eta)
+
+    value = np.exp(-s * noise)
+    for i in range(1, K):
+        value = value * g(D[:, i])
+    a, b = D[:, K - 1][:, None], D[:, N - 1][:, None]
+    annulus = 1.0 - 2.0 * _scipy_tail(s, eta, a, b) / (b * b - a * a)
+    return value * annulus ** (N - K - 1) * g(D[:, N - 1])
 
 
 def sg_eta4_coverage(t: float, lam: float, noise: float) -> float:

@@ -88,8 +88,8 @@ def test_criterion_2_sg_sanity():
     cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                            noise_power=0.0, half_width=40.0)
     start = time.perf_counter()
-    curve = sc.sg_coverage(cfg, sc.ThresholdGrid.from_linear_values([0.1,
-                                                                     1.0]))
+    curve = sc.sg_coverage(cfg,
+                           sc.ThresholdGrid(10.0 * np.log10([0.1, 1.0])))
     elapsed = time.perf_counter() - start
     devs = []
     for value, t in zip(curve.estimates, (0.1, 1.0)):
@@ -274,7 +274,7 @@ def test_criterion_11_moment_baseline_mechanics():
     params = sc.ProbModelParams(mu_s=1.0, sigma_s_sq=0.05, sigma0_sq=1.0,
                                 interferer_total=10)
     tiny = sc.prob_model_coverage(
-        params, cfg, sc.ThresholdGrid.from_linear_values([1e-15]))
+        params, cfg, sc.ThresholdGrid(10.0 * np.log10([1e-15])))
     limit_ok = abs(tiny.estimates[0] - 1.0) <= 1e-9
 
     guard_ok = False

@@ -115,6 +115,11 @@ class TestParseArgs:
          "inf", "--sigma0-sq", "1"],
         ["--methods", "probabilistic", "--mu-S", "1", "--sigma-S-sq",
          "0.05", "--sigma0-sq", "inf"],
+        ["--seed", "-1"],
+        ["--seed", "18446744073709551616"],                   # 2**64
+        ["--methods", "probabilistic", "--N", "1", "--K", "1", "--mu-S",
+         "1", "--sigma-S-sq", "0.05", "--sigma0-sq", "1"],    # N below 2
+        ["--tstep-db", "1e-12"],                              # 4e13 points
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -304,6 +309,13 @@ class TestMain:
                    "--N", "10", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    def test_negative_augmented_variance_exits_3(self, tmp_path, capsys):
+        rc = main(["--methods", "probabilistic", "--mu-S", "100",
+                   "--sigma-S-sq", "0", "--sigma0-sq", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "augmented variance is negative" in capsys.readouterr().err
 
     def test_figure_matrix_plumbing(self, tmp_path):
         # full exponent/interferer matrix, the fractional exponent case and

@@ -114,9 +114,18 @@ class TestExpectedTailTruncationError:
             sc.expected_tail_truncation_error(CFG4, 1, 1.0)
         with pytest.raises(ValueError):
             sc.expected_tail_truncation_error(CFG4, 5, 0.0)
-        cfg2 = sc.NetworkConfig(pathloss_exponent=2.0)
+        for eta in (1.5, 2.0):
+            cfg = sc.NetworkConfig(pathloss_exponent=eta)
+            with pytest.raises(ValueError, match="exponent is > 2"):
+                sc.expected_tail_truncation_error(cfg, 5, 1.0)
+
+    @pytest.mark.parametrize("n, threshold, tol", [
+        (10, math.inf, 1e-6), (10, 1.0, math.inf),
+        (10.5, 1.0, 1e-6), (math.inf, 1.0, 1e-6)])
+    def test_rejects_non_finite_or_fractional(self, n, threshold, tol):
         with pytest.raises(ValueError):
-            sc.expected_tail_truncation_error(cfg2, 5, 1.0)
+            sc.expected_tail_truncation_error(CFG3, n, threshold,
+                                              quad_abs_tol=tol)
 
     def test_matches_exact_expectation_off_unit_density(self):
         # The expected tail error does not depend on the BS density, so the
@@ -168,6 +177,14 @@ class TestConvergenceSlope:
     def test_rejects_nonpositive_means(self):
         with pytest.raises(ValueError):
             sc.convergence_slope([5, 10, 20], [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("counts, means", [
+        ([1, 2, 3], [1.0, math.nan, 2.0]), ([1, 2, 3], [1.0, math.inf, 2.0]),
+        ([1, 2, math.inf], [1.0, 0.5, 2.0]), ([5, 10, 20], [1.0, 0.5])],
+        ids=["nan-mean", "inf-mean", "inf-count", "unequal-lengths"])
+    def test_rejects_malformed_input(self, counts, means):
+        with pytest.raises(ValueError):
+            sc.convergence_slope(counts, means)
 
     def test_rejects_too_few_points(self):
         # a fit needs 3 distinct counts; repeated ones would divide 0 by 0
@@ -234,11 +251,19 @@ class TestTailErrorReport:
         {"interferer_counts": [1, 5, 10]},
         {"threshold": 0.0},
         {"interferer_counts": [5, 5, 5]},
-    ], ids=["count-one", "zero-threshold", "repeated-counts"])
+        {"interferer_counts": [2.5, 10, 20]},
+        {"threshold": math.inf},
+    ], ids=["count-one", "zero-threshold", "repeated-counts",
+            "fractional-count", "infinite-threshold"])
     def test_rejects_bad_arguments(self, kwargs):
         args = {"threshold": 1.0, "interferer_counts": [5, 10, 20], **kwargs}
         with pytest.raises(ValueError):
             sc.tail_error_report(CFG4, **args)
+
+    @pytest.mark.parametrize("eta", [1.5, 2.0])
+    def test_rejects_low_eta(self, eta):
+        with pytest.raises(ValueError, match="exponent is > 2"):
+            sc.tail_error_report(_cfg(eta), 1.0, [5, 10, 20])
 
     def test_deterministic_given_seed(self):
         # The means are exact: ``trials`` and ``seed`` are ignored and the

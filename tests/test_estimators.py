@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -9,8 +10,9 @@ from sinrcov import streams
 from sinrcov.estimators import ModelValidityError, _hybrid_trial_values
 from sinrcov.geometry import sample_ordered_distances_direct
 
-from oracles import (hybrid_expectation, sg_eta4_coverage,
-                     sg_noise_free_coverage, tail_integral_closed_form)
+from oracles import (binomial_completion, hybrid_expectation,
+                     sg_eta4_coverage, sg_noise_free_coverage,
+                     tail_integral_closed_form)
 
 CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                        noise_power=0.1, half_width=40.0)
@@ -29,14 +31,23 @@ class TestThresholdGrid:
                                    rtol=1e-14)
 
     def test_from_linear_round_trip(self):
-        grid = sc.ThresholdGrid.from_linear_values([0.5, 1.0, 4.0])
+        grid = sc.ThresholdGrid(10.0 * np.log10([0.5, 1.0, 4.0]))
         np.testing.assert_allclose(grid.thresholds_db,
                                    [10 * math.log10(0.5), 0.0,
                                     10 * math.log10(4.0)])
+        np.testing.assert_allclose(grid.thresholds_linear, [0.5, 1.0, 4.0],
+                                   rtol=1e-15)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             sc.ThresholdGrid([0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("tmin, tmax, step", [
+        (-20.0, 20.0, 1e-12), (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)])
+    def test_db_range_rejects_oversized_grid(self, tmin, tmax, step):
+        # The cap applies before any array is allocated.
+        with pytest.raises(ValueError, match="thresholds"):
+            sc.ThresholdGrid.from_db_range(tmin, tmax, step)
 
     @pytest.mark.parametrize("values", [[0.0, math.inf], [math.nan]])
     def test_rejects_non_finite(self, values):
@@ -103,8 +114,19 @@ class TestHybridSampleValue:
 
 
 class TestHybridCoverage:
+    def test_rejects_unknown_sampler(self):
+        st = sc.EstimatorSettings(trials=8)
+        with pytest.raises(ValueError, match="unknown sampler"):
+            sc.hybrid_coverage(CFG, st, GRID, sampler="grid")
+
+    def test_single_trial_has_zero_stderr(self):
+        st = sc.EstimatorSettings(trials=1, seed=3)
+        curve = sc.hybrid_coverage(CFG, st, GRID, sampler="direct")
+        assert np.all(curve.stderrs == 0.0)
+        assert np.all(curve.trials_used == 1)
+
     def test_tiny_threshold_is_near_one(self):
-        grid = sc.ThresholdGrid.from_linear_values([1e-6])
+        grid = sc.ThresholdGrid(10.0 * np.log10([1e-6]))
         st = sc.EstimatorSettings(dominant_count=4, interferer_total=10,
                                   trials=2000, seed=1)
         curve = sc.hybrid_coverage(CFG, st, grid)
@@ -195,7 +217,7 @@ class TestEmpiricalCoverage:
         assert np.all(curve.estimates == 1.0)
 
     def test_huge_threshold_gives_zero(self):
-        grid = sc.ThresholdGrid.from_linear_values([1e12])
+        grid = sc.ThresholdGrid(10.0 * np.log10([1e12]))
         st = sc.EstimatorSettings(trials=400, seed=7)
         curve = sc.empirical_coverage(CFG, st, grid)
         assert curve.estimates[0] == 0.0
@@ -232,7 +254,7 @@ class TestSgCoverage:
     def test_matches_interference_limited_closed_form(self):
         cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=4.0,
                                noise_power=0.0, half_width=40.0)
-        grid = sc.ThresholdGrid.from_linear_values([0.1, 1.0])
+        grid = sc.ThresholdGrid(10.0 * np.log10([0.1, 1.0]))
         curve = sc.sg_coverage(cfg, grid)
         for value, t in zip(curve.estimates, (0.1, 1.0)):
             closed = 1.0 / (1.0 + math.sqrt(t) * math.atan(math.sqrt(t)))
@@ -240,7 +262,7 @@ class TestSgCoverage:
 
     def test_reference_values_with_noise(self):
         # frozen from an independent nested-quadrature evaluation
-        grid = sc.ThresholdGrid.from_linear_values([1.0])
+        grid = sc.ThresholdGrid(10.0 * np.log10([1.0]))
         got4 = sc.sg_coverage(CFG, grid).estimates[0]
         assert got4 == pytest.approx(0.5566043768616691, abs=2e-6)
         cfg3 = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.0,
@@ -249,15 +271,19 @@ class TestSgCoverage:
         assert got3 == pytest.approx(0.37232172496830057, abs=2e-6)
 
     def test_threshold_to_zero_limit(self):
-        grid = sc.ThresholdGrid.from_linear_values([1e-12])
+        grid = sc.ThresholdGrid(10.0 * np.log10([1e-12]))
         curve = sc.sg_coverage(CFG, grid)
         assert curve.estimates[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_low_eta(self):
         for eta in (1.5, 2.0):
             cfg = sc.NetworkConfig(pathloss_exponent=eta)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="exponent is > 2"):
                 sc.sg_coverage(cfg, GRID)
+
+    def test_rejects_infinite_tolerance(self):
+        with pytest.raises(ValueError):
+            sc.sg_coverage(CFG, GRID, quad_abs_tol=math.inf)
 
     def test_strictly_decreasing_and_in_range(self):
         curve = sc.sg_coverage(CFG, GRID)
@@ -385,6 +411,56 @@ class TestExactExpectation:
         assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_rows(N: int) -> np.ndarray:
+    """20,000 direct distance rows of N at density 1 (read-only)."""
+    rng = np.random.default_rng(5113)
+    rows = np.sqrt(rng.exponential(1.0 / math.pi, size=(20_000, N))
+                   .cumsum(axis=1))
+    rows.flags.writeable = False
+    return rows
+
+
+class TestBinomialCompletion:
+    """Where the hybrid's K-error comes from (density 1, noise 0.1).
+
+    Swapping the hybrid's Poisson far field between R_K and R_N for the
+    exact binomial one gives a value unbiased for P_N at every K; so the
+    paired difference hybrid - completion, on common draws, measures the
+    hybrid's bias E[hybrid_{N,K}] - P_N alone.  With seed 5113 and 20,000
+    draws the worst completion |z| is 2.16, and the smallest gated bias step
+    clears 12.1 paired stderr.
+    """
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    @pytest.mark.parametrize("eta,N", [(2.0, 5), (3.0, 10), (4.0, 10)])
+    def test_mean_is_truncated_coverage(self, eta, N, K):
+        D = _direct_rows(N)
+        s = GRID.thresholds_linear[None, :] * D[:, :1] ** eta
+        f_bin = binomial_completion(D, s, K, N, 0.1, eta)
+        exact = hybrid_expectation(eta, N, N, 1.0, 0.1,
+                                   GRID.thresholds_linear)
+        stderr = f_bin.std(axis=0, ddof=1) / math.sqrt(f_bin.shape[0])
+        z = (f_bin.mean(axis=0) - exact) / stderr
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+
+    @pytest.mark.parametrize("eta,N", [(2.0, 5), (3.0, 10)])
+    def test_bias_falls_with_every_dominant_interferer(self, eta, N):
+        # b_K = max_T mean(d_K) with d_K = hybrid - completion.  At the
+        # threshold T* where b_(K+1) peaks, b_K >= mean(d_K(T*)), so the
+        # paired mean of d_K(T*) - d_(K+1)(T*) bounds the step from below.
+        D = _direct_rows(N)
+        s = GRID.thresholds_linear[None, :] * D[:, :1] ** eta
+        d = [_hybrid_trial_values(D, s, K, N, 1.0, 0.1, eta, 1e-9)
+             - binomial_completion(D, s, K, N, 0.1, eta)
+             for K in (1, 2, 3, 4)]
+        for upper, lower in zip(d, d[1:]):
+            peak = lower.mean(axis=0).argmax()
+            step = upper[:, peak] - lower[:, peak]
+            stderr = step.std(ddof=1) / math.sqrt(step.size)
+            assert step.mean() > 4.0 * stderr, (step.mean(), stderr)
+
+
 class TestDensityScaling:
     """coverage(lam, sigma^2) == coverage(1, sigma^2 * lam**(-eta/2)).
 
@@ -467,13 +543,19 @@ class TestMomentCoefficient:
         with pytest.raises(ValueError):
             sc.interference_moment_coefficient(1, 1.0)
 
+    @pytest.mark.parametrize("i, lam", [(3, math.inf), (2.5, 1.0),
+                                        (math.inf, 1.0)])
+    def test_rejects_non_finite_or_fractional(self, i, lam):
+        with pytest.raises(ValueError):
+            sc.interference_moment_coefficient(i, lam)
+
 
 class TestProbModelCoverage:
     PARAMS = sc.ProbModelParams(mu_s=1.0, sigma_s_sq=0.05, sigma0_sq=1.0,
                                 interferer_total=10)
 
     def test_threshold_to_zero_is_one(self):
-        grid = sc.ThresholdGrid.from_linear_values([1e-15])
+        grid = sc.ThresholdGrid(10.0 * np.log10([1e-15]))
         curve = sc.prob_model_coverage(self.PARAMS, CFG, grid)
         assert curve.estimates[0] == pytest.approx(1.0, abs=1e-12)
 

@@ -142,7 +142,7 @@ class TestTailIntegral:
 
     def test_rejects_infinite_upper_for_low_eta(self):
         for eta in (1.5, 2.0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="exponent is > 2"):
                 _tail(1.0, eta, 1.0, math.inf)
 
     def test_rejects_negative_inputs(self):
@@ -283,9 +283,18 @@ class TestTailIntegralBatch:
                            atol=1e-7)
 
     def test_rejects_infinite_upper_for_low_eta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exponent is > 2"):
             sc.tail_integral_batch(np.array([1.0]), 2.0, np.array([1.0]),
                                    np.array([np.inf]))
+
+    @pytest.mark.parametrize("s, eta, a, b, tol", [
+        (1.0, 4.0, 1.0, 10.0, math.inf), (math.nan, 4.0, 1.0, 10.0, 1e-6),
+        (1.0, 4.0, math.nan, 10.0, 1e-6), (1.0, 4.0, 1.0, math.nan, 1e-6),
+        (1.0, math.inf, 1.0, 10.0, 1e-6)],
+        ids=["tol-inf", "s-nan", "a-nan", "b-nan", "eta-inf"])
+    def test_rejects_nan_and_non_finite(self, s, eta, a, b, tol):
+        with pytest.raises(ValueError):
+            sc.tail_integral_batch([s], eta, [a], [b], tol)
 
 
 @pytest.fixture(scope="module")
