@@ -19,6 +19,10 @@ identical per-trial substreams, so their curves are positively correlated
 and directly comparable, and per-threshold standard errors of the hybrid
 route never exceed the empirical ones in expectation.  The direct sampler
 draws the hybrid's geometry from its own substreams instead.
+
+Every estimator works at unit density: it reads the network only through
+``NetworkConfig.unit_noise``, ``unit_half_width`` and the path-loss
+exponent.
 """
 from __future__ import annotations
 
@@ -67,6 +71,14 @@ class ModelValidityError(ValueError):
     """The closed-form moment model is outside its validity region."""
 
 
+def _require_integers(obj, *names: str) -> None:
+    """Refuse counts and seeds that ``operator.index`` would not accept."""
+    for name in names:
+        value = getattr(obj, name)
+        if not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorSettings:
     """Algorithmic knobs shared by the Monte Carlo estimators."""
@@ -78,6 +90,8 @@ class EstimatorSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_integers(self, "dominant_count", "interferer_total",
+                          "trials", "seed")
         if not 1 <= self.dominant_count <= self.interferer_total:
             raise ValueError(
                 f"need 1 <= dominant_count <= interferer_total, got "
@@ -97,20 +111,27 @@ class EstimatorSettings:
 
 @dataclass(frozen=True)
 class ThresholdGrid:
-    """Strictly increasing SINR thresholds in dB; linear ones = 10**(db/10)."""
+    """Strictly increasing SINR thresholds in dB; linear ones = 10**(db/10).
+
+    Every linear value must be finite and > 0, which holds for dB values
+    from about -3,233 to 3,082.
+    """
 
     thresholds_db: np.ndarray
     thresholds_linear: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         db = np.asarray(self.thresholds_db, dtype=float)
-        if db.ndim != 1 or db.size == 0 or not np.isfinite(db).all():
-            raise ValueError("thresholds must be a non-empty 1-D array of "
-                             "finite values")
+        with np.errstate(over="ignore"):
+            linear = 10.0 ** (db / 10.0)
+        if db.ndim != 1 or db.size == 0 or not np.all(
+                (linear > 0.0) & (linear < math.inf)):
+            raise ValueError("thresholds must be a non-empty 1-D array of dB "
+                             "values whose 10**(dB/10) is finite and > 0")
         if np.any(np.diff(db) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds_db", db)
-        object.__setattr__(self, "thresholds_linear", 10.0 ** (db / 10.0))
+        object.__setattr__(self, "thresholds_linear", linear)
 
     def __len__(self) -> int:
         return self.thresholds_db.size
@@ -168,6 +189,7 @@ class ProbModelParams:
         if not 0 < self.sigma0_sq < math.inf:
             raise ValueError(
                 f"sigma0_sq must be finite and > 0, got {self.sigma0_sq}")
+        _require_integers(self, "interferer_total")
         if self.interferer_total < 2:
             raise ValueError(
                 f"interferer_total must be >= 2, got {self.interferer_total}"
@@ -193,24 +215,24 @@ def _map_blocks(fn, n_trials: int, threads: int):
 
 
 def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
-                         lam: float, sig2: float, eta: float,
-                         quad_abs_tol: float) -> np.ndarray:
-    """Conditional coverage of distance rows D at s = T * r**eta.
+                         sig2: float, eta: float, tol: float) -> np.ndarray:
+    """Conditional coverage of unit-density distance rows D at s = T*r**eta.
 
-    ``s`` has shape (trials, thresholds).  Each value multiplies the noise
-    factor exp(-s*sigma^2), the exact fading average 1/(1 + s*R_i**-eta)
-    over interferers 2..K, and the far-field factor
-    exp(-2*pi*lam * tail(s, R_K, R_N)), with the tail integral from
-    :func:`tail_integral_batch`.  With K == N the tail factor is exactly 1;
-    with K == 1 the dominant product is empty.
+    ``s`` has shape (trials, thresholds) and ``sig2`` is the unit-density
+    noise.  Each value multiplies the noise factor exp(-s*sig2), the exact
+    fading average 1/(1 + s*R_i**-eta) over interferers 2..K, and the
+    far-field factor exp(-2*pi * tail(s, R_K, R_N)), with the tail integral
+    from :func:`tail_integral_batch` to absolute tolerance ``tol``.  With
+    K == N the tail factor is exactly 1; with K == 1 the dominant product
+    is empty.
     """
     dominant = np.ones_like(s)
     for i in range(1, K):
         dominant /= 1.0 + s / _pow_eta(D[:, i], eta)[:, None]
     a = np.broadcast_to(D[:, K - 1][:, None], s.shape)
     b = np.broadcast_to(D[:, N - 1][:, None], s.shape)
-    tails = tail_integral_batch(s, eta, a, b, quad_abs_tol)
-    return np.exp(-s * sig2 - 2.0 * math.pi * lam * tails) * dominant
+    tails = tail_integral_batch(s, eta, a, b, tol)
+    return np.exp(-s * sig2 - 2.0 * math.pi * tails) * dominant
 
 
 def _check_window_feasible(cfg: NetworkConfig, n_needed: int) -> None:
@@ -266,8 +288,7 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
                 if total < N:
                     continue
             else:
-                d = sample_ordered_distances_direct(cfg.bs_density, N,
-                                                    rng).distances
+                d = sample_ordered_distances_direct(N, rng).distances
             rows.append(d)
             trials.append(m)
         if not rows:
@@ -305,11 +326,11 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
     """
     K, N = settings.dominant_count, settings.interferer_total
     t_linear = grid.thresholds_linear
-    lam, sig2, eta = cfg.bs_density, cfg.noise_power, cfg.pathloss_exponent
+    sig2, eta = cfg.unit_noise, cfg.pathloss_exponent
 
     def values(D, trials):
         s = t_linear[None, :] * _pow_eta(D[:, 0], eta)[:, None]
-        return _hybrid_trial_values(D, s, K, N, lam, sig2, eta,
+        return _hybrid_trial_values(D, s, K, N, sig2, eta,
                                     settings.quad_abs_tol)
 
     def stderr(mean, sumsq, used):
@@ -333,7 +354,7 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
     nearest interferers contribute.
     """
     t_linear = grid.thresholds_linear
-    eta, sig2 = cfg.pathloss_exponent, cfg.noise_power
+    eta, sig2 = cfg.pathloss_exponent, cfg.unit_noise
 
     def values(D, trials):
         gains = np.vstack([
@@ -357,9 +378,9 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     """Infinite-network coverage: one tail per threshold and a 1-D integral.
 
     With t = r*x the far-field tail separates, tail(T*r**eta, r, inf) =
-    r**2 * I(T) with I(T) = tail(T, 1, inf), so with v = pi*lam*r**2 the
-    coverage is the integral over v >= 0 of
-    exp(-v*(1 + 2*I(T)) - T*sigma^2*r**eta) (Andrews, Baccelli and Ganti,
+    r**2 * I(T) with I(T) = tail(T, 1, inf), so with v = pi*r**2 at unit
+    density the coverage is the integral over v >= 0 of
+    exp(-v*(1 + 2*I(T)) - T*unit_noise*r**eta) (Andrews, Baccelli and Ganti,
     IEEE TCOM 2011, Theorem 2).  I(T) gets ``quad_abs_tol``/4 and the
     v-integral ``quad_abs_tol``/2; |d sg / d I| <= 2 keeps the total within
     ``quad_abs_tol``.  Each threshold's value is the one it gets alone.
@@ -370,15 +391,14 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     if not 0 < quad_abs_tol < math.inf:
         raise ValueError(f"quad_abs_tol must be finite and > 0, got "
                          f"{quad_abs_tol}")
-    lam, sig2 = cfg.bs_density, cfg.noise_power
     t_lin = grid.thresholds_linear
     n = len(grid)
     rate = 1.0 + 2.0 * tail_integral_batch(t_lin, eta, np.ones(n), math.inf,
                                            0.25 * quad_abs_tol)
-    noise = t_lin * sig2
+    noise = t_lin * cfg.unit_noise
 
     def integrand(v, owner):
-        r = np.sqrt(v / (math.pi * lam))
+        r = np.sqrt(v / math.pi)
         return np.exp(-v * rate[owner][:, None]
                       - noise[owner][:, None] * _pow_eta(r, eta))
 
@@ -388,25 +408,18 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     return _curve(METHOD_SG, eta, grid, estimates)
 
 
-def interference_moment_coefficient(i: int, bs_density: float) -> float:
-    """Second-moment coefficient of the i-th nearest interferer (i >= 2).
+_LN2 = math.log(2.0)
 
-    The i = 2 value is (67 - 96*ln 2)/(pi*lam)**2; for i >= 3 the
+
+def interference_moment_coefficient(i: int) -> float:
+    """Unit-density second-moment coefficient of the i-th nearest interferer.
+
+    Defined for integer i >= 2; at density lam divide by lam**2, which is
+    exact.  The i = 2 value is (67 - 96*ln 2)/pi**2; for i >= 3 the
     Gamma-ratio series is evaluated in log space.
     """
     if not (i >= 2 and i % 1 == 0):
         raise ValueError(f"coefficient defined for integer i >= 2, got {i}")
-    if not 0 < bs_density < math.inf:
-        raise ValueError(
-            f"bs_density must be finite and > 0, got {bs_density}")
-    return _moment_coefficient_unit(i) / (bs_density * bs_density)
-
-
-_LN2 = math.log(2.0)
-
-
-def _moment_coefficient_unit(i: int) -> float:
-    """Coefficient at unit density (the 1/lam**2 scaling is exact)."""
     pi_sq = math.pi * math.pi
     if i == 2:
         return (67.0 - 96.0 * _LN2) / pi_sq
@@ -430,17 +443,18 @@ def prob_model_coverage(params: ProbModelParams, cfg: NetworkConfig,
 
     Augments the supplied moments with the noise corrections, checks the
     validity condition mu >= sigma/sqrt(2) of the underlying Gaussian
-    approximation, and evaluates the closed form per threshold.
+    approximation, and evaluates the closed form per threshold.  At eta 4,
+    sigma^2/(pi*lam)**2 = unit_noise/pi**2, so the corrections read only
+    ``cfg.unit_noise`` and the unit-density coefficients.
     """
     if cfg.pathloss_exponent != 4.0:
         raise ValueError(
             f"the moment-based baseline is defined for pathloss_exponent 4, "
             f"got {cfg.pathloss_exponent}"
         )
-    lam, sig2 = cfg.bs_density, cfg.noise_power
-    pl2 = (math.pi * lam) ** 2
+    sig2, pl2 = cfg.unit_noise, math.pi ** 2
     beta = math.fsum(
-        interference_moment_coefficient(i, lam)
+        interference_moment_coefficient(i)
         for i in range(2, params.interferer_total + 1)
     )
     mu_t = params.mu_s + 2.0 * sig2 / pl2

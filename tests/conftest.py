@@ -44,5 +44,5 @@ def direct_prefix_draws():
     n = 10_000
     first5 = np.empty((n, 5))
     for m in range(n):
-        first5[m] = sample_ordered_distances_direct(1.0, 5, rng).distances
+        first5[m] = sample_ordered_distances_direct(5, rng).distances
     return first5

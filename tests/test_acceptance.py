@@ -289,7 +289,7 @@ def test_criterion_11_moment_baseline_mechanics():
 
     mp.mp.dps = 50
     reference = float((67 - 96 * mp.log(2)) / mp.pi ** 2)
-    alpha2 = sc.interference_moment_coefficient(2, 1.0)
+    alpha2 = sc.interference_moment_coefficient(2)
     alpha_ok = abs(alpha2 - reference) <= 1e-5
 
     _report("criterion 11 (moment baseline mechanics)",

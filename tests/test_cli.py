@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,9 @@ class TestParseArgs:
         ["--methods", "probabilistic", "--N", "1", "--K", "1", "--mu-S",
          "1", "--sigma-S-sq", "0.05", "--sigma0-sq", "1"],    # N below 2
         ["--tstep-db", "1e-12"],                              # 4e13 points
+        ["--tmin-db", "3100", "--tmax-db", "3100", "--methods", "sg"],
+        ["--lambda", "1e-306", "--sampler", "direct", "--methods",
+         "hybrid,sg"],                          # noise * lam**-2 overflows
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -299,6 +303,31 @@ class TestMain:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("lam, noise", [("1e306", "0.1"),
+                                            ("1e-30", "0.1"),
+                                            ("1e-306", "0")])
+    def test_extreme_density_writes_finite_rows(self, lam, noise, tmp_path):
+        out = tmp_path / "extreme.csv"
+        rc = main(["--lambda", lam, "--noise", noise, "--sampler", "direct",
+                   "--methods", "hybrid,sg", "--trials", "64", "--N", "4",
+                   "--K", "2", "--tmin-db", "-10", "--tmax-db", "10",
+                   "--tstep-db", "10", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        coverage = np.array([float(row[5]) for row in rows])
+        stderr = np.array([float(row[6]) for row in rows])
+        assert np.all(np.isfinite(stderr))
+        assert np.all((coverage >= 0.0) & (coverage <= 1.0))
+        if lam == "1e-30":
+            # A unit-density noise of 1e59 leaves no coverage.
+            assert np.all(coverage == 0.0)
+        else:
+            # Noise-free at unit density: sg is 1/(1 + pi/4) at 0 dB, eta 4.
+            sg_0db = [float(row[5]) for row in rows
+                      if row[0] == "sg" and float(row[4]) == 0.0]
+            assert sg_0db == [pytest.approx(1.0 / (1.0 + math.pi / 4.0),
+                                            abs=1e-6)]
 
     def test_usage_error_exit_code(self):
         assert main(["--eta", "2", "--methods", "sg"]) == 2

@@ -4,11 +4,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import sinrcov as sc
 from sinrcov import streams
 from sinrcov.estimators import ModelValidityError, _hybrid_trial_values
 from sinrcov.geometry import sample_ordered_distances_direct
+from sinrcov.quadrature import _pow_eta
 
 from oracles import (binomial_completion, hybrid_expectation,
                      sg_eta4_coverage, sg_noise_free_coverage,
@@ -49,7 +52,9 @@ class TestThresholdGrid:
         with pytest.raises(ValueError, match="thresholds"):
             sc.ThresholdGrid.from_db_range(tmin, tmax, step)
 
-    @pytest.mark.parametrize("values", [[0.0, math.inf], [math.nan]])
+    # 3100 dB overflows 10**(dB/10) and -3300 dB underflows it to 0.
+    @pytest.mark.parametrize("values", [[0.0, math.inf], [math.nan],
+                                        [3100.0], [-3300.0, 0.0]])
     def test_rejects_non_finite(self, values):
         with pytest.raises(ValueError):
             sc.ThresholdGrid(values)
@@ -70,11 +75,24 @@ class TestEstimatorSettings:
             sc.EstimatorSettings(trials=2**48 + 1)
         sc.EstimatorSettings(trials=2**48)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"trials": 10.5}, {"dominant_count": 2.5},
+        {"interferer_total": 10.0}], ids=lambda kw: next(iter(kw)))
+    def test_rejects_non_integral(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sc.EstimatorSettings(**{"trials": 10, **kwargs})
+
+    def test_accepts_numpy_integers(self):
+        st = sc.EstimatorSettings(dominant_count=np.int64(2),
+                                  interferer_total=np.int32(5),
+                                  trials=np.int64(10), seed=np.int64(3))
+        assert st.trials == 10
+
 
 def _sample_value(s, distances, K, N, quad_abs_tol=1e-6):
     """Hybrid value of one geometry draw at density 1, noise 0.1, eta 4."""
     d = np.asarray(distances, dtype=float)[None, :]
-    vals = _hybrid_trial_values(d, np.array([[s]]), K, N, 1.0, 0.1, 4.0,
+    vals = _hybrid_trial_values(d, np.array([[s]]), K, N, 0.1, 4.0,
                                 quad_abs_tol)
     return float(vals[0, 0])
 
@@ -113,6 +131,86 @@ class TestHybridSampleValue:
         assert got == pytest.approx(expected, abs=1e-9)
 
 
+# A seeded direct distance row, 1 <= K <= N <= 12, and the kernel's inputs.
+_KERNEL_CASES = hst.fixed_dictionaries({
+    "eta": hst.sampled_from([2.0, 3.0, 3.4142, 4.0]),
+    "kn": hst.integers(1, 12).flatmap(
+        lambda n: hst.tuples(hst.integers(1, n), hst.just(n))),
+    "seed": hst.integers(0, 2**32 - 1),
+    "noise": hst.sampled_from([0.0, 0.1]),
+    "tol": hst.sampled_from([1e-6, 1e-9]),
+})
+_KERNEL_SETTINGS = settings(derandomize=True, max_examples=100,
+                            deadline=None, database=None)
+# T = 1e-12, then the README grid: increasing.
+_KERNEL_T = np.concatenate([[1e-12], GRID.thresholds_linear])
+
+
+def _kernel(case):
+    """Row, s and hybrid values over _KERNEL_T for one drawn case."""
+    K, N = case["kn"]
+    eta = case["eta"]
+    d = sample_ordered_distances_direct(
+        N, np.random.default_rng(case["seed"])).distances
+    s = _KERNEL_T * d[0] ** eta
+    vals = _hybrid_trial_values(d[None, :], s[None, :], K, N, case["noise"],
+                                eta, case["tol"])[0]
+    return d, s, vals
+
+
+def _noise_and_dominant(case, d, s):
+    """exp(-s*noise) times 1/(1 + s*R_i**-eta) over i = 2..K.
+
+    The powers and the order of operations are the kernel's, so at K = N
+    the comparison is left with the tail factor alone, which must be 1.
+    """
+    dominant = np.ones_like(s)
+    for r in d[1:case["kn"][0]]:
+        dominant /= 1.0 + s / _pow_eta(r, case["eta"])
+    return np.exp(-s * case["noise"]) * dominant
+
+
+class TestHybridTrialValueProperties:
+    """Properties of the hybrid kernel on one seeded direct distance row."""
+
+    @_KERNEL_SETTINGS
+    @given(case=_KERNEL_CASES)
+    def test_within_unit_interval(self, case):
+        _, _, vals = _kernel(case)
+        assert np.all((vals >= 0.0) & (vals <= 1.0)), vals
+
+    @_KERNEL_SETTINGS
+    @given(case=_KERNEL_CASES)
+    def test_non_increasing_in_threshold(self, case):
+        # Each value carries at most 2*pi*tol from its tail.
+        _, _, vals = _kernel(case)
+        assert np.all(np.diff(vals) <= 4.0 * math.pi * case["tol"]), vals
+
+    @_KERNEL_SETTINGS
+    @given(case=_KERNEL_CASES)
+    def test_all_dominant_is_exact_product(self, case):
+        case = dict(case, kn=(case["kn"][1], case["kn"][1]))
+        d, s, vals = _kernel(case)
+        np.testing.assert_allclose(vals, _noise_and_dominant(case, d, s),
+                                   rtol=1e-15, atol=0)
+
+    @_KERNEL_SETTINGS
+    @given(case=_KERNEL_CASES)
+    def test_vanishing_threshold_covers(self, case):
+        _, _, vals = _kernel(case)
+        assert abs(vals[0] - 1.0) <= 1e-6, vals[0]
+
+    @_KERNEL_SETTINGS
+    @given(case=_KERNEL_CASES.filter(lambda c: c["eta"] in (2.0, 4.0)))
+    def test_matches_closed_form_tail(self, case):
+        K, N = case["kn"]
+        d, s, vals = _kernel(case)
+        tail = tail_integral_closed_form(s, case["eta"], d[K - 1], d[N - 1])
+        want = _noise_and_dominant(case, d, s) * np.exp(-2.0 * math.pi * tail)
+        np.testing.assert_allclose(vals, want, rtol=0,
+                                   atol=2.0 * math.pi * case["tol"])
+
+
 class TestHybridCoverage:
     def test_rejects_unknown_sampler(self):
         st = sc.EstimatorSettings(trials=8)
@@ -140,7 +238,7 @@ class TestHybridCoverage:
         acc = np.zeros(len(GRID))
         for m in range(st.trials):
             rng = streams.trial_stream(9, streams.GEOMETRY_DIRECT, m)
-            d = sample_ordered_distances_direct(1.0, 5, rng).distances
+            d = sample_ordered_distances_direct(5, rng).distances
             s = t_lin * d[0] ** 4
             vals = np.exp(-s * 0.1)
             for i in range(1, 5):
@@ -344,14 +442,14 @@ class TestSgCoverage:
 def direct_rows_n20():
     """20,000 direct-sampler distance rows of 20 at density 1."""
     rng = np.random.default_rng(7411)
-    return np.vstack([sample_ordered_distances_direct(1.0, 20, rng)
+    return np.vstack([sample_ordered_distances_direct(20, rng)
                       .distances for _ in range(20_000)])
 
 
 class TestPairedCompletion:
     """The hybrid completed with its far field beyond R_N averages to sg.
 
-    g = hybrid value * exp(-2*pi*lam * tail(s, R_N, inf)) is the coverage
+    g = hybrid value * exp(-2*pi * tail(s, R_N, inf)) is the coverage
     conditioned on the K nearest distances with every interferer beyond R_K
     averaged out, so E[g] = sg exactly; the check is two-sided.
     """
@@ -366,9 +464,8 @@ class TestPairedCompletion:
         D = direct_rows_n20[:, :N]
         s = GRID.thresholds_linear[None, :] * D[:, :1] ** eta
         r_n = np.broadcast_to(D[:, N - 1:], s.shape)
-        g = (_hybrid_trial_values(D, s, K, N, cfg.bs_density,
-                                  cfg.noise_power, eta, tol)
-             * np.exp(-2.0 * math.pi * cfg.bs_density
+        g = (_hybrid_trial_values(D, s, K, N, cfg.unit_noise, eta, tol)
+             * np.exp(-2.0 * math.pi
                       * sc.tail_integral_batch(s, eta, r_n, np.inf, tol)))
         stderr = g.std(axis=0, ddof=1) / math.sqrt(g.shape[0])
         z = (g.mean(axis=0) - sc.sg_coverage(cfg, GRID, tol).estimates) / stderr
@@ -451,7 +548,7 @@ class TestBinomialCompletion:
         # paired mean of d_K(T*) - d_(K+1)(T*) bounds the step from below.
         D = _direct_rows(N)
         s = GRID.thresholds_linear[None, :] * D[:, :1] ** eta
-        d = [_hybrid_trial_values(D, s, K, N, 1.0, 0.1, eta, 1e-9)
+        d = [_hybrid_trial_values(D, s, K, N, 0.1, eta, 1e-9)
              - binomial_completion(D, s, K, N, 0.1, eta)
              for K in (1, 2, 3, 4)]
         for upper, lower in zip(d, d[1:]):
@@ -462,38 +559,68 @@ class TestBinomialCompletion:
 
 
 class TestDensityScaling:
-    """coverage(lam, sigma^2) == coverage(1, sigma^2 * lam**(-eta/2)).
+    """coverage(lam, sigma^2, L) == coverage(1, unit_noise, unit_half_width).
 
-    Under the direct sampler distances scale by lam**(-1/2) draw for draw,
-    so the two sides agree to rounding, not just within Monte Carlo error.
+    ``NetworkConfig`` normalises every network to unit density once, and the
+    estimators read only that normal form, so a scaled network and its
+    unit-density twin give the same bits for every method and sampler.
     """
 
     @staticmethod
     def _pair(lam, eta):
         scaled = sc.NetworkConfig(bs_density=lam, pathloss_exponent=eta,
-                                  noise_power=0.1)
+                                  noise_power=0.1, half_width=20.0)
         unit = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
-                                noise_power=0.1 * lam ** (-eta / 2.0))
+                                noise_power=scaled.unit_noise,
+                                half_width=scaled.unit_half_width)
         return scaled, unit
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    @pytest.mark.parametrize("eta", [3.4142, 4.0])
+    def test_normal_form(self, lam, eta):
+        scaled, unit = self._pair(lam, eta)
+        assert scaled.unit_noise == pytest.approx(0.1 * lam ** (-eta / 2.0),
+                                                  rel=1e-15)
+        assert scaled.unit_half_width == pytest.approx(20.0 * math.sqrt(lam),
+                                                       rel=1e-15)
+        assert (unit.unit_noise, unit.unit_half_width) == (
+            scaled.unit_noise, scaled.unit_half_width)
 
     @pytest.mark.parametrize("lam", [0.25, 4.0])
     @pytest.mark.parametrize("eta", [3.4142, 4.0])
     def test_hybrid(self, lam, eta):
         scaled, unit = self._pair(lam, eta)
-        st = sc.EstimatorSettings(dominant_count=3, interferer_total=8,
-                                  trials=3000, seed=12)
-        a = sc.hybrid_coverage(scaled, st, GRID, sampler="direct")
-        b = sc.hybrid_coverage(unit, st, GRID, sampler="direct")
-        np.testing.assert_allclose(a.estimates, b.estimates, rtol=0,
-                                   atol=1e-10)
+        for sampler, trials in (("direct", 3000), ("window", 1000)):
+            st = sc.EstimatorSettings(dominant_count=3, interferer_total=8,
+                                      trials=trials, seed=12)
+            a = sc.hybrid_coverage(scaled, st, GRID, sampler=sampler)
+            b = sc.hybrid_coverage(unit, st, GRID, sampler=sampler)
+            np.testing.assert_array_equal(a.estimates, b.estimates)
+            np.testing.assert_array_equal(a.stderrs, b.stderrs)
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    def test_simulation(self, lam):
+        scaled, unit = self._pair(lam, 4.0)
+        st = sc.EstimatorSettings(interferer_total=8, trials=1000, seed=13)
+        np.testing.assert_array_equal(
+            sc.empirical_coverage(scaled, st, GRID).estimates,
+            sc.empirical_coverage(unit, st, GRID).estimates)
 
     @pytest.mark.parametrize("lam", [0.25, 4.0])
     @pytest.mark.parametrize("eta", [3.4142, 4.0])
     def test_sg(self, lam, eta):
         scaled, unit = self._pair(lam, eta)
-        np.testing.assert_allclose(sc.sg_coverage(scaled, GRID).estimates,
-                                   sc.sg_coverage(unit, GRID).estimates,
-                                   rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(sc.sg_coverage(scaled, GRID).estimates,
+                                      sc.sg_coverage(unit, GRID).estimates)
+
+    @pytest.mark.parametrize("lam", [0.25, 4.0])
+    def test_probabilistic(self, lam):
+        scaled, unit = self._pair(lam, 4.0)
+        params = sc.ProbModelParams(mu_s=1.0, sigma_s_sq=0.05, sigma0_sq=1.0,
+                                    interferer_total=10)
+        np.testing.assert_array_equal(
+            sc.prob_model_coverage(params, scaled, GRID).estimates,
+            sc.prob_model_coverage(params, unit, GRID).estimates)
 
 
 def _moment_coefficient_reference(i: int) -> float:
@@ -516,38 +643,31 @@ def _moment_coefficient_reference(i: int) -> float:
 
 class TestMomentCoefficient:
     def test_base_case_value(self):
-        got = sc.interference_moment_coefficient(2, 1.0)
+        got = sc.interference_moment_coefficient(2)
         want = (67.0 - 96.0 * math.log(2.0)) / math.pi ** 2
         assert got == pytest.approx(want, rel=1e-15)
 
-    def test_density_scaling_is_exact(self):
-        for i in (2, 3, 7):
-            for lam in (0.5, 2.0, 13.0):
-                assert sc.interference_moment_coefficient(i, lam) == (
-                    sc.interference_moment_coefficient(i, 1.0) / (lam * lam))
-
     @pytest.mark.parametrize("i", [3, 4, 5, 10, 20, 30, 45, 60, 1100])
     def test_matches_high_precision_series(self, i):
-        got = sc.interference_moment_coefficient(i, 1.0)
+        got = sc.interference_moment_coefficient(i)
         want = _moment_coefficient_reference(i)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_relative_accuracy_over_index_range(self):
         worst = max(
-            abs(sc.interference_moment_coefficient(i, 1.0)
+            abs(sc.interference_moment_coefficient(i)
                 / _moment_coefficient_reference(i) - 1.0)
             for i in range(3, 81))
         assert worst <= 1e-12
 
     def test_rejects_small_index(self):
         with pytest.raises(ValueError):
-            sc.interference_moment_coefficient(1, 1.0)
+            sc.interference_moment_coefficient(1)
 
-    @pytest.mark.parametrize("i, lam", [(3, math.inf), (2.5, 1.0),
-                                        (math.inf, 1.0)])
-    def test_rejects_non_finite_or_fractional(self, i, lam):
+    @pytest.mark.parametrize("i", [2.5, math.inf])
+    def test_rejects_non_finite_or_fractional(self, i):
         with pytest.raises(ValueError):
-            sc.interference_moment_coefficient(i, lam)
+            sc.interference_moment_coefficient(i)
 
 
 class TestProbModelCoverage:
@@ -576,6 +696,11 @@ class TestProbModelCoverage:
         t = GRID.thresholds_linear
         np.testing.assert_allclose(curve.estimates, np.exp(-t * 2.0 / 1.5),
                                    rtol=1e-12)
+
+    def test_rejects_non_integral_count(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sc.ProbModelParams(mu_s=1.0, sigma_s_sq=0.05, sigma0_sq=1.0,
+                               interferer_total=2.5)
 
     def test_rejects_wrong_exponent(self):
         cfg3 = sc.NetworkConfig(pathloss_exponent=3.0)

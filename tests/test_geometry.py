@@ -35,6 +35,26 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             sc.NetworkConfig(**kwargs)
 
+    def test_unit_normal_form_is_exact_at_unit_density(self):
+        cfg = sc.NetworkConfig(pathloss_exponent=3.4142, noise_power=0.37,
+                               half_width=12.5)
+        assert (cfg.unit_noise, cfg.unit_half_width) == (0.37, 12.5)
+
+    @pytest.mark.parametrize("lam", [1e-306, 1e-30, 1e306])
+    def test_zero_noise_stays_zero_at_every_density(self, lam):
+        cfg = sc.NetworkConfig(bs_density=lam, noise_power=0.0)
+        assert cfg.unit_noise == 0.0
+
+    @pytest.mark.parametrize("lam, noise", [(1e-306, 0.1), (1e-200, 1e-10)])
+    def test_rejects_overflowing_unit_noise(self, lam, noise):
+        # sigma^2 * lam**(-eta/2) at eta 4 is 1e611 and 1e390.
+        with pytest.raises(ValueError, match="overflows"):
+            sc.NetworkConfig(bs_density=lam, noise_power=noise)
+
+    def test_huge_window_count_is_inf(self):
+        assert sc.NetworkConfig(bs_density=1e306).expected_window_count == (
+            math.inf)
+
 
 class TestWindowSampler:
     def test_mean_point_count(self, window_prefix_draws):
@@ -89,15 +109,14 @@ class TestDirectSampler:
     def test_single_count_matches_serving_law(self):
         rng = np.random.default_rng(77)
         draws = np.array([
-            sample_ordered_distances_direct(1.0, 1, rng).distances[0]
+            sample_ordered_distances_direct(1, rng).distances[0]
             for _ in range(4000)
         ])
         cdf = lambda r: 1.0 - np.exp(-math.pi * r * r)
         assert stats.kstest(draws, cdf).pvalue > 0.001
 
     def test_output_sorted(self):
-        real = sample_ordered_distances_direct(2.5, 50,
-                                               np.random.default_rng(5))
+        real = sample_ordered_distances_direct(50, np.random.default_rng(5))
         assert real.point_count == 50
         assert np.all(np.diff(real.distances) > 0)
 

@@ -263,7 +263,7 @@ class TestTailIntegralBatch:
         # blocks of 32 rows get.
         eta = 3.4142
         rng = np.random.default_rng(5)
-        D = np.vstack([sample_ordered_distances_direct(1.0, 20, rng)
+        D = np.vstack([sample_ordered_distances_direct(20, rng)
                        .distances for _ in range(256)])
         grid = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 0.05)
         s = grid.thresholds_linear[None, :] * D[:, :1] ** eta
@@ -301,7 +301,7 @@ class TestTailIntegralBatch:
 def hybrid_k1_n20_radii():
     """r and R_20 of 10,000 direct-sampler trials at density 1."""
     rng = np.random.default_rng(2)
-    D = np.vstack([sample_ordered_distances_direct(1.0, 20, rng).distances
+    D = np.vstack([sample_ordered_distances_direct(20, rng).distances
                    for _ in range(10_000)])
     return D[:, 0], D[:, 19]
 
