@@ -57,10 +57,15 @@ METHOD_PROBABILISTIC = "probabilistic"
 # Trials are processed in fixed-size blocks; partial sums are reduced in
 # block order, so results are identical for any worker count.
 _TRIAL_BLOCK = 1024
-# A block holds several float64 arrays of _TRIAL_BLOCK x thresholds; the
-# cap keeps each at 128 MiB (16,384 thresholds, against 401 in the densest
-# grid of the tests and benchmarks) and makes an oversized grid a ValueError.
+# A hybrid block peaks at about 4 float64 arrays of _TRIAL_BLOCK x
+# thresholds (tracemalloc at 2,001 thresholds; a test holds it to 6).  The
+# cap keeps each array at 128 MiB, so a block peaks near 0.5 GiB per thread
+# (16,384 thresholds, against 401 in the densest grid of the tests and
+# benchmarks), and makes an oversized grid a ValueError.
 _MAX_THRESHOLDS = (128 << 20) // (8 * _TRIAL_BLOCK)
+# A window draw holds one float64 (x, y) pair per point; the cap keeps that
+# buffer at 128 MiB (8.4 M points, against 6,400 at the default window).
+_MAX_WINDOW_COUNT = (128 << 20) // (8 * 2)
 
 
 class EstimatorError(RuntimeError):
@@ -236,11 +241,17 @@ def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
 
 
 def _check_window_feasible(cfg: NetworkConfig, n_needed: int) -> None:
-    if cfg.expected_window_count < n_needed:
+    count = cfg.expected_window_count
+    if count < n_needed:
         raise ValueError(
-            f"expected window point count {cfg.expected_window_count:.2f} is "
-            f"below interferer_total {n_needed}; increase half_width or "
-            f"bs_density"
+            f"expected window point count {count:.2f} is below "
+            f"interferer_total {n_needed}; increase half_width or bs_density"
+        )
+    if not count <= _MAX_WINDOW_COUNT:
+        raise ValueError(
+            f"expected window point count {count:.4g} is above "
+            f"{_MAX_WINDOW_COUNT}: its coordinates would take over 128 MiB "
+            f"per draw; decrease half_width (--half-width) or bs_density"
         )
 
 
@@ -263,13 +274,14 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     """The Monte Carlo engine shared by the hybrid and simulation routes.
 
     Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
-    (seed, GEOMETRY_DIRECT, m) substream, so methods on the same sampler
-    see the same draws.  Window draws with fewer than ``interferer_total``
-    points are skipped.  ``values(D, trials)`` maps a block's stacked
-    distance rows D, shape (rows, N), and their trial indices to an array
-    of shape (rows, thresholds); the per-threshold sum and sum of squares
-    are reduced in block order, and ``stderr(mean, sumsq, used)`` turns them
-    into standard errors.
+    (seed, GEOMETRY_DIRECT, m) substream, which each block re-keys from one
+    generator, so methods on the same sampler see the same draws.  Window
+    draws with fewer than ``interferer_total`` points are skipped.
+    ``values(D, trials)`` maps a block's stacked distance rows D, shape
+    (rows, N), and their trial indices to an array of shape (rows,
+    thresholds); the per-threshold sum and sum of squares are reduced in
+    block order, and ``stderr(mean, sumsq, used)`` turns them into standard
+    errors.
     """
     if sampler not in (SAMPLER_WINDOW, SAMPLER_DIRECT):
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -281,8 +293,8 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
 
     def block(lo: int, hi: int):
         rows, trials = [], []
-        for m in range(lo, hi):
-            rng = streams.trial_stream(settings.seed, domain, m)
+        for m, rng in zip(range(lo, hi), streams.trial_streams(
+                settings.seed, domain, range(lo, hi))):
             if sampler == SAMPLER_WINDOW:
                 total, d = nearest_window_distances(cfg, N, rng)
                 if total < N:
@@ -358,8 +370,8 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
 
     def values(D, trials):
         gains = np.vstack([
-            streams.trial_stream(settings.seed, streams.FADING, m)
-            .standard_exponential(D.shape[1]) for m in trials])
+            rng.standard_exponential(D.shape[1]) for rng in
+            streams.trial_streams(settings.seed, streams.FADING, trials)])
         power = gains / _pow_eta(D, eta)
         denom = power[:, 1:].sum(axis=1) + sig2
         with np.errstate(divide="ignore"):

@@ -32,6 +32,11 @@ _MAX_PANELS = 1000
 # Panels evaluated per integrand call: 2,048 x 15 nodes keep the integrand's
 # temporaries in cache instead of in arrays of tens of megabytes.
 _PANEL_BLOCK = 2048
+# Integrals per block of ``tail_integral_batch``: each block prepares its
+# arguments, refines and sums its ends on its own, so a call's temporaries
+# stay in cache however large its batch is.  On fractional-dense (2-core
+# Xeon, 4 MiB L2) 8,192 beat 4,096 and 16,384 in 3 of 3 interleaved runs.
+_TAIL_BLOCK = 8192
 _SERIES_TERMS = 27
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule lives at
@@ -255,9 +260,11 @@ def tail_integral_batch(s, eta: float, a, b,
       knee gauges its error conservatively; one that starts far below it
       can under-report it.
 
-    Accuracy does not degrade as eta approaches 2 from above.  The integrand
-    is evaluated in blocks of panels (see ``_panel``), and every element's
-    value is the one it gets alone.
+    Accuracy does not degrade as eta approaches 2 from above.  The batch is
+    integrated in consecutive blocks of ``_TAIL_BLOCK`` elements, and each
+    block's integrand in blocks of panels (see ``_panel``), so every
+    element's value is the one it gets alone.  A :class:`QuadratureError`
+    carries the estimates of the block it arose in.
     """
     s, a, b = np.broadcast_arrays(np.asarray(s, dtype=float),
                                   np.asarray(a, dtype=float),
@@ -265,8 +272,23 @@ def tail_integral_batch(s, eta: float, a, b,
     _check_tail_args(s, eta, a, b)
     if not 0 < abs_tol < np.inf:
         raise ValueError(f"abs_tol must be finite and > 0, got {abs_tol}")
-    shape = s.shape
-    s, a, b = s.ravel(), a.ravel(), b.ravel()
+    out = np.empty(s.size)
+    if s.size:
+        # A block copies only the rows of the last axis that it spans.
+        width = s.shape[-1] if s.ndim else 1
+        rows = [x.reshape(-1, width) for x in (s, a, b)]
+        for lo in range(0, s.size, _TAIL_BLOCK):
+            hi = min(lo + _TAIL_BLOCK, s.size)
+            first = lo // width
+            cut = slice(lo - first * width, hi - first * width)
+            sb, ab, bb = (x[first:-(-hi // width)].reshape(-1)[cut]
+                          for x in rows)
+            out[lo:hi] = _tail_block(sb, eta, ab, bb, abs_tol)
+    return out.reshape(s.shape)
+
+
+def _tail_block(s, eta: float, a, b, abs_tol: float) -> np.ndarray:
+    """:func:`tail_integral_batch` on one block of checked 1-D arguments."""
     out = np.zeros(s.size)
     idx = np.nonzero((b > a) & (s > 0))[0]
     s, a, b = s[idx], a[idx], b[idx]
@@ -295,4 +317,4 @@ def tail_integral_batch(s, eta: float, a, b,
 
     vals[near] += below(lower[near]) - below(a[near])
     out[idx] = vals
-    return out.reshape(shape)
+    return out

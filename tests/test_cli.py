@@ -124,6 +124,10 @@ class TestParseArgs:
         ["--tmin-db", "3100", "--tmax-db", "3100", "--methods", "sg"],
         ["--lambda", "1e-306", "--sampler", "direct", "--methods",
          "hybrid,sg"],                          # noise * lam**-2 overflows
+        ["--lambda", "1e306", "--methods", "simulation", "--trials", "2",
+         "--N", "4", "--K", "2"],               # window count is inf
+        ["--lambda", "1e6", "--trials", "2", "--N", "4", "--K", "2",
+         "--methods", "hybrid"],                # 6.4e9 window points
     ])
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

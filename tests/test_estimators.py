@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as hst
 
 import sinrcov as sc
 from sinrcov import streams
-from sinrcov.estimators import ModelValidityError, _hybrid_trial_values
+from sinrcov.estimators import (_TRIAL_BLOCK, ModelValidityError,
+                                _hybrid_trial_values)
 from sinrcov.geometry import sample_ordered_distances_direct
 from sinrcov.quadrature import _pow_eta
 
@@ -209,6 +211,28 @@ class TestHybridTrialValueProperties:
         want = _noise_and_dominant(case, d, s) * np.exp(-2.0 * math.pi * tail)
         np.testing.assert_allclose(vals, want, rtol=0,
                                    atol=2.0 * math.pi * case["tol"])
+
+
+class TestHybridTrialValueMemory:
+    def test_block_peak_is_a_few_block_arrays(self):
+        # One full trial block on a 2,001-point grid.  The tail integral
+        # runs over fixed blocks of its batch, so the call's temporaries
+        # do not grow with the batch: about 4 block-sized arrays, against
+        # 21 when the whole batch went through one pipeline.
+        eta = 3.4142
+        rng = np.random.default_rng(7)
+        D = np.vstack([sample_ordered_distances_direct(20, rng).distances
+                       for _ in range(_TRIAL_BLOCK)])
+        grid = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 0.02)
+        s = grid.thresholds_linear[None, :] * _pow_eta(D[:, 0], eta)[:, None]
+        assert s.shape == (1024, 2001)
+        tracemalloc.start()
+        try:
+            _hybrid_trial_values(D, s, 4, 20, 0.1, eta, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * s.nbytes, peak / s.nbytes
 
 
 class TestHybridCoverage:

@@ -256,6 +256,23 @@ class TestTailIntegralBatch:
                  for si, ai, bi in zip(s, a, b)]
         np.testing.assert_array_equal(batch, alone)
 
+    def test_value_does_not_depend_on_tail_block(self, monkeypatch):
+        # Blocks of 37 integrals cut a 3-D broadcast batch mid-row; each
+        # element still equals its own one-element call bit for bit.
+        rng = np.random.default_rng(8)
+        s = 10 ** rng.uniform(-3, 3, (4, 5, 6))
+        s[0, 0, :2] = 0.0
+        a = rng.uniform(0.0, 2.0, (4, 1, 1))
+        b = a + rng.uniform(0.0, 5.0, (1, 5, 1))
+        b[1, 2, 0] = np.inf
+        monkeypatch.setattr(quadrature, "_TAIL_BLOCK", 37)
+        batch = sc.tail_integral_batch(s, 3.4142, a, b, 1e-9)
+        monkeypatch.undo()
+        flat = [x.ravel() for x in np.broadcast_arrays(s, a, b)]
+        alone = [_tail(si, 3.4142, ai, bi, 1e-9) for si, ai, bi in zip(*flat)]
+        assert batch.shape == s.shape
+        np.testing.assert_array_equal(batch.ravel(), alone)
+
     def test_success_does_not_depend_on_batch(self):
         # 256 x 801 finite tails (eta 3.4142, K = 1, N = 20, a 0.05 dB grid)
         # hold over 200,000 subintervals at once.  Each integral refines on
