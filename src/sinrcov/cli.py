@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -24,7 +25,6 @@ from .estimators import (
     EstimatorSettings,
     ProbModelParams,
     ThresholdGrid,
-    _check_window_feasible,
     empirical_coverage,
     hybrid_coverage,
     prob_model_coverage,
@@ -154,6 +154,11 @@ def parse_args(argv=None) -> SweepSpec:
             )
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
+    # Checked, not opened: an existing CSV survives a run that exits 3.
+    if args.out != "-" and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(args.out)))):
+        parser.error(f"--out {args.out!r} is a directory or lies in a "
+                     f"directory that does not exist")
 
     n_list = tuple(sorted(set(args.N)))
     k_list = tuple(sorted(set(args.K)))
@@ -180,7 +185,7 @@ def parse_args(argv=None) -> SweepSpec:
                    for n in n_list if probabilistic}
         if METHOD_SIMULATION in methods or (
                 METHOD_HYBRID in methods and args.sampler == SAMPLER_WINDOW):
-            _check_window_feasible(network, max(n_list))
+            network.check_window(max(n_list))
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -27,8 +27,10 @@ exponent.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,9 +65,6 @@ _TRIAL_BLOCK = 1024
 # (16,384 thresholds, against 401 in the densest grid of the tests and
 # benchmarks), and makes an oversized grid a ValueError.
 _MAX_THRESHOLDS = (128 << 20) // (8 * _TRIAL_BLOCK)
-# A window draw holds one float64 (x, y) pair per point; the cap keeps that
-# buffer at 128 MiB (8.4 M points, against 6,400 at the default window).
-_MAX_WINDOW_COUNT = (128 << 20) // (8 * 2)
 
 
 class EstimatorError(RuntimeError):
@@ -119,7 +118,7 @@ class ThresholdGrid:
     """Strictly increasing SINR thresholds in dB; linear ones = 10**(db/10).
 
     Every linear value must be finite and > 0, which holds for dB values
-    from about -3,233 to 3,082.
+    from about -3,233 to 3,082, and there are at most 16,384 of them.
     """
 
     thresholds_db: np.ndarray
@@ -127,6 +126,9 @@ class ThresholdGrid:
 
     def __post_init__(self) -> None:
         db = np.asarray(self.thresholds_db, dtype=float)
+        if db.size > _MAX_THRESHOLDS:
+            raise ValueError(f"the grid holds {db.size} thresholds; at most "
+                             f"{_MAX_THRESHOLDS} are allowed")
         with np.errstate(over="ignore"):
             linear = 10.0 ** (db / 10.0)
         if db.ndim != 1 or db.size == 0 or not np.all(
@@ -150,7 +152,7 @@ class ThresholdGrid:
             raise ValueError(f"need finite tmin_db <= tmax_db, got "
                              f"{tmin_db} and {tmax_db}")
         span = (tmax_db - tmin_db) / tstep_db + 1e-9
-        if not span < _MAX_THRESHOLDS:
+        if not span < _MAX_THRESHOLDS:  # refused before np.arange allocates
             raise ValueError(f"the grid would hold {span:.4g} thresholds; at "
                              f"most {_MAX_THRESHOLDS} are allowed")
         return cls(tmin_db + tstep_db * np.arange(int(math.floor(span)) + 1))
@@ -209,13 +211,15 @@ def _map_blocks(fn, n_trials: int, threads: int):
     share nothing mutable, so any worker count reproduces the
     single-threaded result bit for bit.  On the README K-ladder CLI run at
     2,000 trials (2-core host, 5 interleaved pairs) the median run took
-    2.69 s with 1 thread and 1.93 s with 2.
+    2.69 s with 1 thread and 1.93 s with 2.  The pool never starts more
+    threads than there are blocks or cores; one worker runs in the caller.
     """
     blocks = [(lo, min(lo + _TRIAL_BLOCK, n_trials))
               for lo in range(0, n_trials, _TRIAL_BLOCK)]
-    if threads <= 1 or len(blocks) == 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
@@ -240,21 +244,6 @@ def _hybrid_trial_values(D: np.ndarray, s: np.ndarray, K: int, N: int,
     return np.exp(-s * sig2 - 2.0 * math.pi * tails) * dominant
 
 
-def _check_window_feasible(cfg: NetworkConfig, n_needed: int) -> None:
-    count = cfg.expected_window_count
-    if count < n_needed:
-        raise ValueError(
-            f"expected window point count {count:.2f} is below "
-            f"interferer_total {n_needed}; increase half_width or bs_density"
-        )
-    if not count <= _MAX_WINDOW_COUNT:
-        raise ValueError(
-            f"expected window point count {count:.4g} is above "
-            f"{_MAX_WINDOW_COUNT}: its coordinates would take over 128 MiB "
-            f"per draw; decrease half_width (--half-width) or bs_density"
-        )
-
-
 def _curve(method: str, eta: float, grid: ThresholdGrid, estimates,
            stderrs=None, used: int = 0, interferer_total: int = 0,
            dominant_count: int = 0) -> CoverageCurve:
@@ -275,33 +264,34 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
 
     Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
     (seed, GEOMETRY_DIRECT, m) substream, which each block re-keys from one
-    generator, so methods on the same sampler see the same draws.  Window
-    draws with fewer than ``interferer_total`` points are skipped.
+    generator, so methods on the same sampler see the same draws.  Both
+    samplers return a ``PppRealization``; draws with fewer than
+    ``interferer_total`` points, which only the window makes, are skipped.
     ``values(D, trials)`` maps a block's stacked distance rows D, shape
     (rows, N), and their trial indices to an array of shape (rows,
     thresholds); the per-threshold sum and sum of squares are reduced in
     block order, and ``stderr(mean, sumsq, used)`` turns them into standard
     errors.
     """
-    if sampler not in (SAMPLER_WINDOW, SAMPLER_DIRECT):
-        raise ValueError(f"unknown sampler {sampler!r}")
     N = settings.interferer_total
+    # Looked up per curve, not at import, so a wrapped sampler is seen.
     if sampler == SAMPLER_WINDOW:
-        _check_window_feasible(cfg, N)
-    domain = (streams.GEOMETRY_WINDOW if sampler == SAMPLER_WINDOW
-              else streams.GEOMETRY_DIRECT)
+        cfg.check_window(N)
+        domain, draw = (streams.GEOMETRY_WINDOW,
+                        partial(nearest_window_distances, cfg))
+    elif sampler == SAMPLER_DIRECT:
+        domain, draw = streams.GEOMETRY_DIRECT, sample_ordered_distances_direct
+    else:
+        raise ValueError(f"unknown sampler {sampler!r}")
 
     def block(lo: int, hi: int):
         rows, trials = [], []
         for m, rng in zip(range(lo, hi), streams.trial_streams(
                 settings.seed, domain, range(lo, hi))):
-            if sampler == SAMPLER_WINDOW:
-                total, d = nearest_window_distances(cfg, N, rng)
-                if total < N:
-                    continue
-            else:
-                d = sample_ordered_distances_direct(N, rng).distances
-            rows.append(d)
+            real = draw(N, rng)
+            if real.point_count < N:
+                continue
+            rows.append(real.distances)
             trials.append(m)
         if not rows:
             return np.zeros(len(grid)), np.zeros(len(grid)), 0
@@ -345,10 +335,8 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
         return _hybrid_trial_values(D, s, K, N, sig2, eta,
                                     settings.quad_abs_tol)
 
-    def stderr(mean, sumsq, used):
-        if used == 1:
-            return np.zeros(len(grid))
-        var = np.maximum(0.0, (sumsq - used * mean * mean) / (used - 1))
+    def stderr(mean, sumsq, used):  # exactly 0 at one trial
+        var = np.maximum(0.0, (sumsq - used * mean * mean) / max(used - 1, 1))
         return np.sqrt(var / used)
 
     return _monte_carlo_curve(METHOD_HYBRID, cfg, settings, grid, sampler,

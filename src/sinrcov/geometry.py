@@ -15,8 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+# A window draw holds one float64 (x, y) pair per point; the cap keeps that
+# buffer at 128 MiB (8.4 M points, against 6,400 at the default window).
+_MAX_WINDOW_COUNT = (128 << 20) // (8 * 2)
 
 
 @dataclass(frozen=True)
@@ -73,25 +78,38 @@ class NetworkConfig:
         """
         return 4.0 * self.unit_half_width * self.unit_half_width
 
+    def check_window(self, count: int) -> None:
+        """Raise ValueError unless ``count`` <= expected points <= the cap."""
+        mean = self.expected_window_count
+        if mean < count:
+            raise ValueError(
+                f"expected window point count {mean:.2f} is below "
+                f"interferer_total {count}; increase half_width or bs_density")
+        if not mean <= _MAX_WINDOW_COUNT:
+            raise ValueError(
+                f"expected window point count {mean:.4g} is above "
+                f"{_MAX_WINDOW_COUNT}: its coordinates would take over 128 "
+                f"MiB per draw; decrease half_width (--half-width) or "
+                f"bs_density")
 
-@dataclass(frozen=True)
-class PppRealization:
-    """One spatial draw: ascending distances from the origin to every BS."""
 
-    distances: np.ndarray
+class PppRealization(NamedTuple):
+    """One draw: its point count and the nearest distances, ascending."""
+
     point_count: int
+    distances: np.ndarray
 
 
 def nearest_window_distances(
     cfg: NetworkConfig, count: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
+) -> PppRealization:
     """Draw one unit-density realization on the [-L', L']^2 window.
 
     L' is ``cfg.unit_half_width``; the point count is Poisson((2L')^2) and
     locations are uniform on the window.  Returns the total point count and
     the ``count`` nearest distances sorted ascending.  If the realization
     holds fewer than ``count`` points, all of them are returned and the
-    caller sees the shortfall via the returned total.  The stream is
+    caller sees the shortfall via ``point_count``.  The stream is
     consumed the same way for every ``count``, so the leading distances do
     not depend on it.
     """
@@ -102,7 +120,7 @@ def nearest_window_distances(
     if total > count:
         sq = np.partition(sq, count - 1)[:count]
     sq.sort()
-    return total, np.sqrt(sq)
+    return PppRealization(total, np.sqrt(sq))
 
 
 def sample_ordered_distances_direct(count: int, rng: np.random.Generator
@@ -115,4 +133,4 @@ def sample_ordered_distances_direct(count: int, rng: np.random.Generator
     ``EstimatorSettings`` has already checked the count.
     """
     sq = rng.exponential(1.0 / math.pi, size=count).cumsum()
-    return PppRealization(distances=np.sqrt(sq), point_count=count)
+    return PppRealization(count, np.sqrt(sq))

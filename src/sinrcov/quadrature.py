@@ -264,7 +264,9 @@ def tail_integral_batch(s, eta: float, a, b,
     integrated in consecutive blocks of ``_TAIL_BLOCK`` elements, and each
     block's integrand in blocks of panels (see ``_panel``), so every
     element's value is the one it gets alone.  A :class:`QuadratureError`
-    carries the estimates of the block it arose in.
+    carries arrays of the batch's shape: the failing block's best values
+    (0 with bound 0 where no integral is needed), the earlier blocks'
+    values with bound NaN, and NaN for the blocks never reached.
     """
     s, a, b = np.broadcast_arrays(np.asarray(s, dtype=float),
                                   np.asarray(a, dtype=float),
@@ -283,12 +285,26 @@ def tail_integral_batch(s, eta: float, a, b,
             cut = slice(lo - first * width, hi - first * width)
             sb, ab, bb = (x[first:-(-hi // width)].reshape(-1)[cut]
                           for x in rows)
-            out[lo:hi] = _tail_block(sb, eta, ab, bb, abs_tol)
+            out[lo:hi], bound = _tail_block(sb, eta, ab, bb, abs_tol)
+            if bound is not None:
+                out[hi:] = np.nan
+                err = np.full(s.size, np.nan)
+                err[lo:hi] = bound
+                bad = int(np.count_nonzero(~(bound <= abs_tol)))
+                raise QuadratureError(
+                    f"adaptive quadrature did not reach abs_tol={abs_tol:g} "
+                    f"for {bad} of {s.size} integral(s) within {_MAX_PANELS} "
+                    f"subintervals each", estimate=out.reshape(s.shape),
+                    error_bound=err.reshape(s.shape))
     return out.reshape(s.shape)
 
 
-def _tail_block(s, eta: float, a, b, abs_tol: float) -> np.ndarray:
-    """:func:`tail_integral_batch` on one block of checked 1-D arguments."""
+def _tail_block(s, eta: float, a, b, abs_tol: float):
+    """:func:`tail_integral_batch` on one block of checked 1-D arguments.
+
+    Returns the values and None, or, if the quadrature ran out of budget,
+    its best values and every element's error bound.
+    """
     out = np.zeros(s.size)
     idx = np.nonzero((b > a) & (s > 0))[0]
     s, a, b = s[idx], a[idx], b[idx]
@@ -306,7 +322,11 @@ def _tail_block(s, eta: float, a, b, abs_tol: float) -> np.ndarray:
         t = np.exp(v)
         return t * tail_integrand(s[owner][:, None], eta, t)
 
-    vals, _ = _adaptive_batch(fun, log_lower, np.log(upper), abs_tol)
+    failed = None
+    try:
+        vals, _ = _adaptive_batch(fun, log_lower, np.log(upper), abs_tol)
+    except QuadratureError as exc:  # the batch re-raises it in its shape
+        vals, failed = exc.estimate, exc.error_bound
     if far.any():  # b = inf needs eta > 2; below, alpha + eta*k can be 0
         c, sf = upper[far], s[far]
         pc = _pow_eta(c, eta)
@@ -317,4 +337,8 @@ def _tail_block(s, eta: float, a, b, abs_tol: float) -> np.ndarray:
 
     vals[near] += below(lower[near]) - below(a[near])
     out[idx] = vals
-    return out
+    if failed is None:
+        return out, None
+    bound = np.zeros(out.size)
+    bound[idx] = failed
+    return out, bound

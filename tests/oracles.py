@@ -77,40 +77,57 @@ def _scipy_tail(s, eta: float, a, b):
 
 
 def hybrid_expectation(eta: float, N: int, K: int, lam: float, noise: float,
-                       t_lin) -> np.ndarray:
-    """Exact E[hybrid_{N,K}(T)] for K = 1 or K = N (test oracle).
+                       t_lin, nodes: int = 32) -> np.ndarray:
+    """Exact E[hybrid_{N,K}(T)] for 1 <= K <= N (test oracle).
 
-    u = pi*lam*r^2 ~ Exp(1) and w = pi*lam*(R_N^2 - r^2) ~ Gamma(N-1) are
-    independent, so the expectation is a 2-D integral over their CDFs,
-    taken by tensor Gauss-Legendre in (p, q) with u = -log1p(-p) and
-    w = gammaincinv(N-1, q).  With s = T*r^eta and tail = tail(s, r, R_N):
+    u = pi*lam*r^2 ~ Exp(1), w1 = pi*lam*(R_K^2 - r^2) ~ Gamma(K-1) and
+    w2 = pi*lam*(R_N^2 - R_K^2) ~ Gamma(N-K) are independent, so the
+    expectation is an integral over their CDFs, taken by tensor
+    Gauss-Legendre with u = -log1p(-p) and w = gammaincinv(shape, q).  With
+    s = T*r^eta, g(t) = 1/(1 + s*t^-eta) and
+    A(a, b) = 1 - 2*tail(s, a, b)/(b^2 - a^2), the mean of g over a point
+    uniform on the annulus between a and b, the integrand is
 
-    * K = 1: e^(-s*noise) * exp(-2*pi*lam*tail);
-    * K = N: e^(-s*noise) * g(R_N) * A^(N-2), with g(t) = 1/(1 + s*t^-eta)
-      and A = 1 - 2*tail/(R_N^2 - r^2), the mean of g over the N-2
-      interferers that lie i.i.d. uniform on the annulus between r and R_N.
+    * K = 1: e^(-s*noise) * exp(-2*pi*lam*tail(s, r, R_N));
+    * K = N: e^(-s*noise) * g(R_N) * A(r, R_N)^(N-2);
+    * 1 < K < N: e^(-s*noise) * g(R_K) * A(r, R_K)^(K-2)
+      * exp(-2*pi*lam*tail(s, R_K, R_N)), since the K-2 interferers
+      between r and R_K lie i.i.d. uniform on their annulus.
 
     Under Rayleigh fading the K = N value is also the coverage P_N of the
     network cut off at the N-th interferer.  The tail comes from the closed
     form (eta 2 and 4) or the incomplete-beta reduction, never from the
-    library.  Its 120 nodes per axis agree with 80 to 2.5e-6 on the README
-    grid at noise 0.1.
+    library.  The 2-D cases take 120 nodes per axis, which agree with 80 to
+    2.5e-6 on the README grid at noise 0.1; the 3-D case takes ``nodes``.
     """
-    if K not in (1, N):
-        raise ValueError(f"defined for K = 1 or K = N, got K={K}, N={N}")
-    x, wx = np.polynomial.legendre.leggauss(120)
+    if not 1 <= K <= N:
+        raise ValueError(f"defined for 1 <= K <= N, got K={K}, N={N}")
+    x, wx = np.polynomial.legendre.leggauss(120 if K in (1, N) else nodes)
     p, wx = 0.5 * (x + 1.0), 0.5 * wx
-    r_sq = (-np.log1p(-p) / (math.pi * lam))[:, None, None]
-    rn_sq = r_sq + (gammaincinv(N - 1, p) / (math.pi * lam))[None, :, None]
+
+    def squared(axis, w):  # r^2 increments pi*lam*dr^2 = w along ``axis``
+        return (w / (math.pi * lam)).reshape(
+            [-1 if i == axis else 1 for i in range(4)])
+
+    # Axes: r, then R_K (or R_N at K = 1), then R_N, then the thresholds.
+    r_sq = squared(0, -np.log1p(-p))
     s = np.asarray(t_lin, dtype=float) * r_sq ** (0.5 * eta)
-    tail = _scipy_tail(s, eta, np.sqrt(r_sq), np.sqrt(rn_sq))
+    value = np.exp(-s * noise)
     if K == 1:
-        value = np.exp(-s * noise - 2.0 * math.pi * lam * tail)
-    else:
-        g = 1.0 / (1.0 + s / rn_sq ** (0.5 * eta))
-        annulus = 1.0 - 2.0 * tail / (rn_sq - r_sq)
-        value = np.exp(-s * noise) * g * annulus ** (N - 2)
-    return np.einsum("i,j,ijk->k", wx, wx, value)
+        rn_sq = r_sq + squared(1, gammaincinv(N - 1, p))
+        value = value * np.exp(-2.0 * math.pi * lam * _scipy_tail(
+            s, eta, np.sqrt(r_sq), np.sqrt(rn_sq)))
+        return np.einsum("i,j,ijkl->l", wx, wx, value)
+    rk_sq = r_sq + squared(1, gammaincinv(K - 1, p))
+    annulus = 1.0 - 2.0 * _scipy_tail(s, eta, np.sqrt(r_sq),
+                                      np.sqrt(rk_sq)) / (rk_sq - r_sq)
+    value = value / (1.0 + s / rk_sq ** (0.5 * eta)) * annulus ** (K - 2)
+    if K == N:
+        return np.einsum("i,j,ijkl->l", wx, wx, value)
+    rn_sq = rk_sq + squared(2, gammaincinv(N - K, p))
+    value = value * np.exp(-2.0 * math.pi * lam * _scipy_tail(
+        s, eta, np.sqrt(rk_sq), np.sqrt(rn_sq)))
+    return np.einsum("i,j,k,ijkl->l", wx, wx, wx, value)
 
 
 def binomial_completion(D, s, K: int, N: int, noise: float,

@@ -128,11 +128,14 @@ class TestParseArgs:
          "--N", "4", "--K", "2"],               # window count is inf
         ["--lambda", "1e6", "--trials", "2", "--N", "4", "--K", "2",
          "--methods", "hybrid"],                # 6.4e9 window points
+        ["--trials", "3000", "--out", "/no/such/dir/x.csv"],
+        ["--trials", "3000", "--out", "."],     # a directory
     ])
-    def test_usage_errors_exit_2(self, argv):
+    def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_args(argv)
         assert excinfo.value.code == 2
+        assert "[sinrcov]" not in capsys.readouterr().err
 
     def test_methods_parsed_and_sorted(self):
         spec = parse_args(["--methods", "sg,hybrid", "--eta", "4"])
@@ -342,6 +345,14 @@ class TestMain:
                    "--N", "10", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    def test_existing_csv_survives_exit_3(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
+        rc = main(["--methods", "probabilistic", "--mu-S", "100",
+                   "--sigma-S-sq", "0", "--sigma0-sq", "1", "--out", str(out)])
+        assert rc == 3
+        assert out.read_text() == "kept\n"
 
     def test_negative_augmented_variance_exits_3(self, tmp_path, capsys):
         rc = main(["--methods", "probabilistic", "--mu-S", "100",

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import tracemalloc
 
 import mpmath as mp
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import sinrcov as sc
-from sinrcov import streams
-from sinrcov.estimators import (_TRIAL_BLOCK, ModelValidityError,
-                                _hybrid_trial_values)
+from sinrcov import estimators, streams
+from sinrcov.estimators import (_MAX_THRESHOLDS, _TRIAL_BLOCK,
+                                ModelValidityError, _hybrid_trial_values,
+                                _map_blocks)
 from sinrcov.geometry import sample_ordered_distances_direct
 from sinrcov.quadrature import _pow_eta
 
@@ -53,6 +55,13 @@ class TestThresholdGrid:
         # The cap applies before any array is allocated.
         with pytest.raises(ValueError, match="thresholds"):
             sc.ThresholdGrid.from_db_range(tmin, tmax, step)
+
+    def test_every_grid_is_capped(self):
+        # A grid built from dB values directly meets the same cap.
+        grid = sc.ThresholdGrid(np.arange(_MAX_THRESHOLDS) * 1e-3)
+        assert len(grid) == _MAX_THRESHOLDS
+        with pytest.raises(ValueError, match="at most"):
+            sc.ThresholdGrid(np.arange(_MAX_THRESHOLDS + 1) * 1e-3)
 
     # 3100 dB overflows 10**(dB/10) and -3300 dB underflows it to 0.
     @pytest.mark.parametrize("values", [[0.0, math.inf], [math.nan],
@@ -233,6 +242,33 @@ class TestHybridTrialValueMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * s.nbytes, peak / s.nbytes
+
+
+class TestMapBlocks:
+    def test_pool_never_outgrows_the_cores(self, monkeypatch):
+        # A recording stand-in for the pool runs the blocks in order and
+        # starts no thread.
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", SerialPool)
+        n_trials = 10 * _TRIAL_BLOCK
+        pooled = _map_blocks(lambda lo, hi: (lo, hi), n_trials, 10**6)
+        assert pooled == _map_blocks(lambda lo, hi: (lo, hi), n_trials, 1)
+        assert len(pooled) == 10
+        assert all(w <= (os.cpu_count() or 1) for w in workers)
 
 
 class TestHybridCoverage:
@@ -499,16 +535,18 @@ class TestPairedCompletion:
 class TestExactExpectation:
     """Monte Carlo curves against their exact expectations at density 1.
 
-    ``hybrid_expectation`` integrates the hybrid's value over (r, R_N) by
-    deterministic quadrature; at K = N it is also the truncated network's
-    coverage P_N, which the simulation estimates.  With seed 4242 the worst
-    |z| over the 21 thresholds was 2.08 for the hybrid and 2.07 for the
+    ``hybrid_expectation`` integrates the hybrid's value over (r, R_N), and
+    over R_K too when 1 < K < N, by deterministic quadrature; at K = N it is
+    also the truncated network's coverage P_N, which the simulation
+    estimates.  With seed 4242 the worst |z| over the 21 thresholds was 2.08
+    for the hybrid (1.54 over the three K = 4 cases) and 2.07 for the
     simulation.
     """
 
     @pytest.mark.parametrize("eta,N,K", [(2.0, 5, 1), (4.0, 10, 10),
                                          (3.4142, 20, 1), (3.0, 5, 5),
-                                         (2.0, 5, 5)])
+                                         (2.0, 5, 5), (2.0, 5, 4),
+                                         (3.4142, 20, 4), (4.0, 10, 4)])
     def test_direct_hybrid(self, eta, N, K):
         cfg = sc.NetworkConfig(pathloss_exponent=eta)
         st = sc.EstimatorSettings(dominant_count=K, interferer_total=N,
@@ -516,6 +554,11 @@ class TestExactExpectation:
         curve = sc.hybrid_coverage(cfg, st, GRID, sampler="direct")
         exact = hybrid_expectation(eta, N, K, cfg.bs_density,
                                    cfg.noise_power, GRID.thresholds_linear)
+        if 1 < K < N:  # the 3-D rule has converged well below the noise
+            coarse = hybrid_expectation(eta, N, K, cfg.bs_density,
+                                        cfg.noise_power,
+                                        GRID.thresholds_linear, nodes=24)
+            assert np.all(np.abs(exact - coarse) < 0.25 * curve.stderrs)
         z = (curve.estimates - exact) / curve.stderrs
         assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
 

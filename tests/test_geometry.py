@@ -7,7 +7,7 @@ from scipy import stats
 
 import sinrcov as sc
 from sinrcov import streams
-from sinrcov.geometry import (nearest_window_distances,
+from sinrcov.geometry import (PppRealization, nearest_window_distances,
                               sample_ordered_distances_direct)
 
 from oracles import serving_distance_density
@@ -54,6 +54,27 @@ class TestNetworkConfig:
     def test_huge_window_count_is_inf(self):
         assert sc.NetworkConfig(bs_density=1e306).expected_window_count == (
             math.inf)
+
+
+class TestRealization:
+    def test_both_samplers_return_one_record(self):
+        rng = np.random.default_rng(2)
+        window = nearest_window_distances(sc.NetworkConfig(), 4, rng)
+        direct = sample_ordered_distances_direct(4, rng)
+        for real in (window, direct):
+            assert type(real) is PppRealization
+            count, distances = real
+            assert (count, distances.size) == (real.point_count, 4)
+            assert distances is real.distances
+        assert window.point_count > 4 and direct.point_count == 4
+
+    @pytest.mark.parametrize("lam, half_width, match", [
+        (1.0, 1.0, "below interferer_total 5"),
+        (1.0, 1e4, "above 8388608")])
+    def test_check_window_refuses(self, lam, half_width, match):
+        cfg = sc.NetworkConfig(bs_density=lam, half_width=half_width)
+        with pytest.raises(ValueError, match=match):
+            cfg.check_window(5)
 
 
 class TestWindowSampler:

@@ -102,6 +102,41 @@ class TestIntegrateAdaptive:
         assert excinfo.value is inner
 
 
+class TestTailBatchFailure:
+    """A QuadratureError from the tail carries arrays of the batch's shape."""
+
+    def test_payload_matches_the_batch(self):
+        # At eta 2 the tail over [0, 100] at s = 1e4 is 5000 ln 2, too large
+        # for an absolute 1e-12; s = 0 needs no integral.
+        with pytest.raises(QuadratureError, match="1 of 2") as excinfo:
+            sc.tail_integral_batch([0.0, 1e4], 2.0, 0.0, [5.0, 100.0], 1e-12)
+        err = excinfo.value
+        assert err.estimate.shape == err.error_bound.shape == (2,)
+        assert err.estimate[0] == err.error_bound[0] == 0.0
+        assert err.estimate[1] == pytest.approx(5000.0 * math.log(2.0),
+                                                rel=1e-12)
+        assert err.error_bound[1] > 1e-12
+
+    def test_failure_in_a_middle_block(self, monkeypatch):
+        # Blocks of 2 over 6 elements: the first finishes, the second holds
+        # the failure and a tail that converged, the third is never reached.
+        s = np.array([[1.0, 0.0, 1e4], [2.0, 3.0, 1.0]])
+        b = np.array([[5.0, 5.0, 100.0], [5.0, 5.0, 6.0]])
+        monkeypatch.setattr(quadrature, "_TAIL_BLOCK", 2)
+        with pytest.raises(QuadratureError, match="1 of 6") as excinfo:
+            sc.tail_integral_batch(s, 2.0, 0.0, b, 1e-12)
+        est = excinfo.value.estimate.ravel()
+        bound = excinfo.value.error_bound.ravel()
+        assert excinfo.value.estimate.shape == (2, 3)
+        assert excinfo.value.error_bound.shape == (2, 3)
+        exact = tail_integral_closed_form(s, 2.0, 0.0, b).ravel()
+        np.testing.assert_allclose(est[:4], exact[:4], rtol=1e-12)
+        assert est[1] == 0.0
+        assert np.all(np.isnan(bound[:2]))
+        assert bound[2] > 1e-12 and 0.0 <= bound[3] <= 1e-12
+        assert np.all(np.isnan(est[4:])) and np.all(np.isnan(bound[4:]))
+
+
 class TestTailIntegrand:
     def test_zero_s(self):
         assert quadrature.tail_integrand(0.0, 4.0, 2.0) == 0.0
