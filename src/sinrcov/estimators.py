@@ -42,6 +42,7 @@ from .geometry import (
 )
 from .quadrature import (
     DEFAULT_ABS_TOL,
+    _TAIL_BLOCK,
     _adaptive_batch,
     _pow_eta,
     _unit_interval,
@@ -59,11 +60,12 @@ METHOD_PROBABILISTIC = "probabilistic"
 # Trials are processed in fixed-size blocks; partial sums are reduced in
 # block order, so results are identical for any worker count.
 _TRIAL_BLOCK = 1024
-# A hybrid block peaks at about 4 float64 arrays of _TRIAL_BLOCK x
-# thresholds (tracemalloc at 2,001 thresholds; a test holds it to 6).  The
-# cap keeps each array at 128 MiB, so a block peaks near 0.5 GiB per thread
-# (16,384 thresholds, against 401 in the densest grid of the tests and
-# benchmarks), and makes an oversized grid a ValueError.
+# A block holds one float64 array of _TRIAL_BLOCK x thresholds, filled a
+# tail block of rows at a time, plus that chunk's temporaries: 1.26 block
+# arrays for the hybrid at 2,001 thresholds (tracemalloc; a test holds it to
+# 1.5).  The cap keeps the array at 128 MiB, so a block peaks a little above
+# 128 MiB per thread (16,384 thresholds, against 401 in the densest grid of
+# the tests and benchmarks), and makes an oversized grid a ValueError.
 _MAX_THRESHOLDS = (128 << 20) // (8 * _TRIAL_BLOCK)
 
 
@@ -212,11 +214,14 @@ def _map_blocks(fn, n_trials: int, threads: int):
     single-threaded result bit for bit.  On the README K-ladder CLI run at
     2,000 trials (2-core host, 5 interleaved pairs) the median run took
     2.69 s with 1 thread and 1.93 s with 2.  The pool never starts more
-    threads than there are blocks or cores; one worker runs in the caller.
+    threads than there are blocks or cores this process may run on; one
+    worker runs in the caller.
     """
     blocks = [(lo, min(lo + _TRIAL_BLOCK, n_trials))
               for lo in range(0, n_trials, _TRIAL_BLOCK)]
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(threads, len(blocks), cores)
     if workers <= 1:
         return [fn(lo, hi) for lo, hi in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -267,11 +272,11 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     generator, so methods on the same sampler see the same draws.  Both
     samplers return a ``PppRealization``; draws with fewer than
     ``interferer_total`` points, which only the window makes, are skipped.
-    ``values(D, trials)`` maps a block's stacked distance rows D, shape
-    (rows, N), and their trial indices to an array of shape (rows,
-    thresholds); the per-threshold sum and sum of squares are reduced in
-    block order, and ``stderr(mean, sumsq, used)`` turns them into standard
-    errors.
+    ``values(D, trials)`` maps stacked distance rows D, shape (rows, N), and
+    their trial indices to an array of shape (rows, thresholds); a block
+    fills one such array in chunks of rows.  The per-threshold sum and sum
+    of squares are reduced in block order, and ``stderr(mean, sumsq,
+    used)`` turns them into standard errors.
     """
     N = settings.interferer_total
     # Looked up per curve, not at import, so a wrapped sampler is seen.
@@ -284,6 +289,10 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
+    # Rows are independent, so filling one block array a tail block of rows
+    # at a time keeps the chunk's temporaries small and every bit the same.
+    step = max(1, _TAIL_BLOCK // len(grid))
+
     def block(lo: int, hi: int):
         rows, trials = [], []
         for m, rng in zip(range(lo, hi), streams.trial_streams(
@@ -295,8 +304,13 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
             trials.append(m)
         if not rows:
             return np.zeros(len(grid)), np.zeros(len(grid)), 0
-        vals = values(np.vstack(rows), trials)
-        return vals.sum(axis=0), (vals * vals).sum(axis=0), len(rows)
+        D = np.vstack(rows)
+        vals = np.empty((len(rows), len(grid)))
+        for c in range(0, len(rows), step):
+            vals[c:c + step] = values(D[c:c + step], trials[c:c + step])
+        part_sum = vals.sum(axis=0)
+        vals *= vals
+        return part_sum, vals.sum(axis=0), len(rows)
 
     sums = np.zeros(len(grid))
     sumsq = np.zeros(len(grid))

@@ -260,13 +260,19 @@ def tail_integral_batch(s, eta: float, a, b,
       knee gauges its error conservatively; one that starts far below it
       can under-report it.
 
-    Accuracy does not degrade as eta approaches 2 from above.  The batch is
-    integrated in consecutive blocks of ``_TAIL_BLOCK`` elements, and each
-    block's integrand in blocks of panels (see ``_panel``), so every
-    element's value is the one it gets alone.  A :class:`QuadratureError`
-    carries arrays of the batch's shape: the failing block's best values
-    (0 with bound 0 where no integral is needed), the earlier blocks'
-    values with bound NaN, and NaN for the blocks never reached.
+    Accuracy does not degrade as eta approaches 2 from above.  ``abs_tol``
+    is absolute only, and each panel rounds at about eps times the tail's
+    value, so a tail far above 1 may not meet a tight tolerance: at 1e-12,
+    eta = 2 and a = 0, 111 of 4,000 tails with s log-uniform on [1e-2, 1e4]
+    and b on [1e-2, 1e2] raised :class:`QuadratureError`, each above 300.
+
+    The batch is integrated in consecutive blocks of ``_TAIL_BLOCK``
+    elements, and each block's integrand in blocks of panels (see
+    ``_panel``), so every element's value is the one it gets alone.  A
+    :class:`QuadratureError` carries arrays of the batch's shape: the
+    failing block's best values (0 with bound 0 where no integral is
+    needed), the earlier blocks' values with bound NaN, and NaN for the
+    blocks never reached.
     """
     s, a, b = np.broadcast_arrays(np.asarray(s, dtype=float),
                                   np.asarray(a, dtype=float),

@@ -289,13 +289,24 @@ class TestMain:
         assert main(_tiny_args(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_golden_csv(self, tmp_path):
-        out = tmp_path / "golden.csv"
-        rc = main(_tiny_args(out, extra=["--methods",
-                                         "hybrid,simulation,sg"]))
-        assert rc == 0
-        golden = (__import__("pathlib").Path(__file__).parent / "data"
-                  / "golden_small.csv")
+    # golden_small pins the window sampler at eta 4, whose _pow_eta fast
+    # path never calls np.power; golden_direct pins the direct sampler and a
+    # fractional eta.  Both also run as cmp steps in CI.
+    @pytest.mark.parametrize("name, argv", [
+        ("golden_small.csv",
+         ["--trials", "64", "--N", "4", "--K", "2", "--tmin-db", "-10",
+          "--tmax-db", "10", "--tstep-db", "10", "--seed", "42",
+          "--methods", "hybrid,simulation,sg"]),
+        ("golden_direct.csv",
+         ["--sampler", "direct", "--eta", "3.4142", "--N", "10",
+          "--K", "1", "4", "--trials", "64", "--tmin-db", "-10",
+          "--tmax-db", "10", "--tstep-db", "5", "--seed", "42",
+          "--methods", "hybrid,sg"]),
+    ], ids=["small", "direct"])
+    def test_golden_csv(self, name, argv, tmp_path):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / name
         assert out.read_bytes() == golden.read_bytes()
 
     def test_runtime_needs_only_numpy(self, tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -244,10 +245,71 @@ class TestHybridTrialValueMemory:
         assert peak <= 6 * s.nbytes, peak / s.nbytes
 
 
+class TestBlockMemory:
+    @pytest.mark.parametrize("route, limit", [("hybrid", 1.5),
+                                              ("simulation", 1.25)])
+    def test_block_peak_is_one_block_array(self, route, limit):
+        # A block fills one (rows, thresholds) array a tail block of rows at
+        # a time and squares it in place: about 1.26 block arrays for the
+        # hybrid and 1.04 for the simulation, against 5.08 and 2.02 when
+        # the whole block went through ``values`` at once.
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.4142,
+                               noise_power=0.1, half_width=40.0)
+        st = sc.EstimatorSettings(dominant_count=4, interferer_total=20,
+                                  trials=_TRIAL_BLOCK, seed=5)
+        grid = sc.ThresholdGrid.from_db_range(-20.0, 20.0, 0.02)
+        block_nbytes = 8 * _TRIAL_BLOCK * len(grid)
+        tracemalloc.start()
+        try:
+            if route == "hybrid":
+                sc.hybrid_coverage(cfg, st, grid, sampler="direct")
+            else:
+                sc.empirical_coverage(cfg, st, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * block_nbytes, peak / block_nbytes
+
+
+class TestBlockRowChunks:
+    # 13 thresholds: neither the tail block nor the 1,024-row block is a
+    # whole number of 630-row chunks.  1,100 trials leave a short last
+    # block, and the small window skips some trials.
+    CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.4142,
+                           noise_power=0.1, half_width=2.0)
+    GRID = sc.ThresholdGrid.from_db_range(-18.0, 18.0, 3.0)
+    ST = sc.EstimatorSettings(dominant_count=4, interferer_total=10,
+                              trials=1100, seed=21)
+
+    def _curve(self, route, threads):
+        if route == "simulation":
+            return sc.empirical_coverage(self.CFG, self.ST, self.GRID,
+                                         threads=threads)
+        return sc.hybrid_coverage(self.CFG, self.ST, self.GRID,
+                                  sampler=route, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("route", ["window", "direct", "simulation"])
+    def test_chunk_size_does_not_change_bits(self, route, threads,
+                                             monkeypatch):
+        assert len(self.GRID) == 13
+        base = self._curve(route, threads)
+        if route != "direct":
+            assert 0 < base.trials_used[0] < self.ST.trials
+        # One row per chunk, then the whole block in one chunk.
+        for tail_block in (1, _TRIAL_BLOCK * len(self.GRID)):
+            monkeypatch.setattr(estimators, "_TAIL_BLOCK", tail_block)
+            curve = self._curve(route, threads)
+            assert np.array_equal(curve.estimates, base.estimates)
+            assert np.array_equal(curve.stderrs, base.stderrs)
+            assert np.array_equal(curve.trials_used, base.trials_used)
+
+
 class TestMapBlocks:
-    def test_pool_never_outgrows_the_cores(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # A recording stand-in for the pool runs the blocks in order and
-        # starts no thread.
+        # starts no thread; the list holds the size of each pool built.
         workers = []
 
         class SerialPool:
@@ -264,11 +326,30 @@ class TestMapBlocks:
                 return map(fn, items)
 
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", SerialPool)
+        return workers
+
+    def test_pool_never_outgrows_the_cores(self, pool_sizes):
         n_trials = 10 * _TRIAL_BLOCK
         pooled = _map_blocks(lambda lo, hi: (lo, hi), n_trials, 10**6)
         assert pooled == _map_blocks(lambda lo, hi: (lo, hi), n_trials, 1)
         assert len(pooled) == 10
-        assert all(w <= (os.cpu_count() or 1) for w in workers)
+        assert all(w <= (os.cpu_count() or 1) for w in pool_sizes)
+
+    def test_pool_counts_only_the_cores_it_may_use(self, pool_sizes,
+                                                   monkeypatch):
+        # Pinned to one CPU (taskset, a cpuset), the blocks run in the
+        # caller: no pool is built and no thread is started.
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        n_trials = 10 * _TRIAL_BLOCK
+        blocks = _map_blocks(lambda lo, hi: (lo, hi), n_trials, 8)
+        assert blocks == [(lo, lo + _TRIAL_BLOCK)
+                          for lo in range(0, n_trials, _TRIAL_BLOCK)]
+        assert pool_sizes == []
 
 
 class TestHybridCoverage:
