@@ -197,14 +197,16 @@ def parse_args(argv=None) -> SweepSpec:
     )
 
 
-def _compute(method: str, spec: SweepSpec, n: int, k: int) -> CoverageCurve:
+def _compute(method: str, spec: SweepSpec, n: int, k: int,
+             draws: dict) -> CoverageCurve:
     settings = spec.settings[(n, k)]
     if method == METHOD_HYBRID:
         return hybrid_coverage(spec.network, settings, spec.grid,
-                               sampler=spec.sampler, threads=spec.threads)
+                               sampler=spec.sampler, threads=spec.threads,
+                               draws=draws)
     if method == METHOD_SIMULATION:
         return empirical_coverage(spec.network, settings, spec.grid,
-                                  threads=spec.threads)
+                                  threads=spec.threads, draws=draws)
     if method == METHOD_SG:
         return sg_coverage(spec.network, spec.grid, spec.quad_abs_tol)
     return prob_model_coverage(spec.moments[n], spec.network, spec.grid)
@@ -227,9 +229,12 @@ def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
 
     An estimator failure is re-raised as the same exception, with its type
     and payload, and the failing combination appended to its message.
+    The Monte Carlo curves share one store of draws, so each (sampler, N)
+    geometry is drawn once per sweep.
     """
     curves: list[CoverageCurve] = []
     cache: dict = {}
+    draws: dict = {}
     for method in spec.methods:
         for n in spec.n_list:
             for k in spec.k_list:
@@ -237,7 +242,7 @@ def run_sweep(spec: SweepSpec) -> list[CoverageCurve]:
                 if key not in cache:
                     start = time.perf_counter()
                     try:
-                        cache[key] = _compute(method, spec, n, k)
+                        cache[key] = _compute(method, spec, n, k, draws)
                     except Exception as exc:
                         exc.args = (f"{exc} [method={method}, N={n}, K={k}]",
                                     *exc.args[1:])

@@ -67,6 +67,9 @@ _TRIAL_BLOCK = 1024
 # 128 MiB per thread (16,384 thresholds, against 401 in the densest grid of
 # the tests and benchmarks), and makes an oversized grid a ValueError.
 _MAX_THRESHOLDS = (128 << 20) // (8 * _TRIAL_BLOCK)
+# A store of shared draws holds at most this many bytes of distance rows and
+# trial indices; a curve that would go past it draws as if it had no store.
+_MAX_DRAW_BYTES = 128 << 20
 
 
 class EstimatorError(RuntimeError):
@@ -210,10 +213,11 @@ def _map_blocks(fn, n_trials: int, threads: int):
 
     The block layout and per-trial substreams never depend on ``threads``.
     A block function creates every generator and buffer it uses, and blocks
-    share nothing mutable, so any worker count reproduces the
-    single-threaded result bit for bit.  On the README K-ladder CLI run at
-    2,000 trials (2-core host, 5 interleaved pairs) the median run took
-    2.69 s with 1 thread and 1.93 s with 2.  The pool never starts more
+    share nothing mutable (they may read shared read-only draws), so any
+    worker count reproduces the single-threaded result bit for bit.  On
+    the README K-ladder CLI run at 2,000 trials (2-core host, 5
+    interleaved pairs, each curve drawing its own geometry) the median run
+    took 2.69 s with 1 thread and 1.93 s with 2.  The pool never starts more
     threads than there are blocks or cores this process may run on; one
     worker runs in the caller.
     """
@@ -264,7 +268,7 @@ def _curve(method: str, eta: float, grid: ThresholdGrid, estimates,
 def _monte_carlo_curve(method: str, cfg: NetworkConfig,
                        settings: EstimatorSettings, grid: ThresholdGrid,
                        sampler: str, threads: int, values,
-                       stderr) -> CoverageCurve:
+                       stderr, draws=None) -> CoverageCurve:
     """The Monte Carlo engine shared by the hybrid and simulation routes.
 
     Trial m draws its geometry from the (seed, GEOMETRY_WINDOW, m) or
@@ -277,6 +281,12 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     fills one such array in chunks of rows.  The per-threshold sum and sum
     of squares are reduced in block order, and ``stderr(mean, sumsq,
     used)`` turns them into standard errors.
+
+    ``draws``, a dict, stores each block's read-only ``(D, trial indices)``
+    under (stream domain, N, seed, trials, unit half-width), so a later
+    curve with the same key reads the draws it would make, bit for bit,
+    instead of drawing.  A curve whose draws would take the store past
+    ``_MAX_DRAW_BYTES`` draws and stores nothing.
     """
     N = settings.interferer_total
     # Looked up per curve, not at import, so a wrapped sampler is seen.
@@ -293,33 +303,47 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
     # at a time keeps the chunk's temporaries small and every bit the same.
     step = max(1, _TAIL_BLOCK // len(grid))
 
+    key = (domain, N, settings.seed, settings.trials, cfg.unit_half_width)
+    stored = None if draws is None else draws.get(key)
+    # Decided before drawing, from the most the curve can keep, so a curve
+    # that stores nothing holds one block's draws at a time, as without one.
+    keep = draws is not None and stored is None and (
+        settings.trials * (N + 1) * 8 + sum(
+            a.nbytes for blocks in draws.values() for pair in blocks
+            for a in pair) <= _MAX_DRAW_BYTES)
+
     def block(lo: int, hi: int):
-        rows, trials = [], []
-        for m, rng in zip(range(lo, hi), streams.trial_streams(
-                settings.seed, domain, range(lo, hi))):
-            real = draw(N, rng)
-            if real.point_count < N:
-                continue
-            rows.append(real.distances)
-            trials.append(m)
-        if not rows:
-            return np.zeros(len(grid)), np.zeros(len(grid)), 0
-        D = np.vstack(rows)
-        vals = np.empty((len(rows), len(grid)))
-        for c in range(0, len(rows), step):
-            vals[c:c + step] = values(D[c:c + step], trials[c:c + step])
+        if stored is not None:
+            D, trials = stored[lo // _TRIAL_BLOCK]
+        else:
+            rows, trials = [], []
+            for m, rng in zip(range(lo, hi), streams.trial_streams(
+                    settings.seed, domain, range(lo, hi))):
+                real = draw(N, rng)
+                if real.point_count >= N:
+                    rows.append(real.distances)
+                    trials.append(m)
+            D, trials = np.reshape(rows, (-1, N)), np.array(trials, np.int64)
+            D.flags.writeable = trials.flags.writeable = False
+        vals = np.empty((len(D), len(grid)))
+        for c in range(0, len(D), step):
+            vals[c:c + step] = values(D[c:c + step],
+                                      trials[c:c + step].tolist())
         part_sum = vals.sum(axis=0)
         vals *= vals
-        return part_sum, vals.sum(axis=0), len(rows)
+        return (part_sum, vals.sum(axis=0), len(D),
+                (D, trials) if keep else None)
 
     sums = np.zeros(len(grid))
     sumsq = np.zeros(len(grid))
     used = 0
-    for part_sum, part_sq, part_n in _map_blocks(block, settings.trials,
-                                                 threads):
+    results = _map_blocks(block, settings.trials, threads)
+    for part_sum, part_sq, part_n, _ in results:
         sums += part_sum
         sumsq += part_sq
         used += part_n
+    if keep:
+        draws[key] = tuple(pair for *_, pair in results)
     if used == 0:
         raise EstimatorError(
             f"no trial produced enough points for the {method} estimator"
@@ -332,13 +356,14 @@ def _monte_carlo_curve(method: str, cfg: NetworkConfig,
 
 def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
                     grid: ThresholdGrid, sampler: str = SAMPLER_WINDOW,
-                    threads: int = 1) -> CoverageCurve:
+                    threads: int = 1, draws=None) -> CoverageCurve:
     """Monte Carlo coverage curve of the dominant-plus-tail estimator.
 
     Each trial draws one geometry (window or direct sampler), shares it
     across every threshold, and accumulates the conditional coverage values.
     Window trials with fewer than ``interferer_total`` points are skipped and
-    reported via ``trials_used``.
+    reported via ``trials_used``.  Curves given one ``draws`` dict draw each
+    geometry once and reuse it bit for bit, up to 128 MiB of draws.
     """
     K, N = settings.dominant_count, settings.interferer_total
     t_linear = grid.thresholds_linear
@@ -354,18 +379,18 @@ def hybrid_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
         return np.sqrt(var / used)
 
     return _monte_carlo_curve(METHOD_HYBRID, cfg, settings, grid, sampler,
-                              threads, values, stderr)
+                              threads, values, stderr, draws)
 
 
 def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
-                       grid: ThresholdGrid,
-                       threads: int = 1) -> CoverageCurve:
+                       grid: ThresholdGrid, threads: int = 1,
+                       draws=None) -> CoverageCurve:
     """Empirical fraction of trials whose SINR exceeds each threshold.
 
     Geometry comes from the same window substreams as the hybrid estimator
     with its default window sampler; fading gains are unit-mean exponentials
     from an independent substream.  Exactly the ``interferer_total - 1``
-    nearest interferers contribute.
+    nearest interferers contribute.  ``draws`` is as in ``hybrid_coverage``.
     """
     t_linear = grid.thresholds_linear
     eta, sig2 = cfg.pathloss_exponent, cfg.unit_noise
@@ -384,7 +409,7 @@ def empirical_coverage(cfg: NetworkConfig, settings: EstimatorSettings,
         return np.sqrt(p * (1.0 - p) / used)
 
     return _monte_carlo_curve(METHOD_SIMULATION, cfg, settings, grid,
-                              SAMPLER_WINDOW, threads, values, stderr)
+                              SAMPLER_WINDOW, threads, values, stderr, draws)
 
 
 def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,

@@ -55,10 +55,12 @@ def figure_curves():
     for eta, n in combos:
         cfg = _cfg(eta)
         start = time.perf_counter()
-        curves[("hyb", eta, n)] = sc.hybrid_coverage(cfg, _settings(n), GRID,
-                                                     threads=threads)
-        curves[("sim", eta, n)] = sc.empirical_coverage(cfg, _settings(n),
-                                                        GRID, threads=threads)
+        # The pair shares one window draw per trial; sharing changes no bit.
+        draws = {}
+        curves[("hyb", eta, n)] = sc.hybrid_coverage(
+            cfg, _settings(n), GRID, threads=threads, draws=draws)
+        curves[("sim", eta, n)] = sc.empirical_coverage(
+            cfg, _settings(n), GRID, threads=threads, draws=draws)
         print(f"[acceptance] curves eta={eta} N={n}: "
               f"{time.perf_counter() - start:.1f}s", file=sys.stderr)
     for eta in (3.0, 3.4142, 4.0):

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as hst
 
 import sinrcov as sc
 from sinrcov import estimators, streams
+from sinrcov.cli import main
 from sinrcov.estimators import (_MAX_THRESHOLDS, _TRIAL_BLOCK,
                                 ModelValidityError, _hybrid_trial_values,
                                 _map_blocks)
@@ -303,6 +306,149 @@ class TestBlockRowChunks:
             assert np.array_equal(curve.estimates, base.estimates)
             assert np.array_equal(curve.stderrs, base.stderrs)
             assert np.array_equal(curve.trials_used, base.trials_used)
+
+
+class TestSharedDraws:
+    # 2,100 trials leave a short last block; at half-width 1.75 the window
+    # holds about 12 points, so it skips many trials at N = 10.
+    CFG = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.4142,
+                           noise_power=0.1, half_width=1.75)
+    GRID = sc.ThresholdGrid.from_db_range(-18.0, 18.0, 3.0)
+    ST = sc.EstimatorSettings(dominant_count=4, interferer_total=10,
+                              trials=2100, seed=21)
+
+    def _curve(self, route, threads=1, draws=None, cfg=None, st=None):
+        cfg, st = cfg or self.CFG, st or self.ST
+        if route == "simulation":
+            return sc.empirical_coverage(cfg, st, self.GRID, threads=threads,
+                                         draws=draws)
+        return sc.hybrid_coverage(cfg, st, self.GRID, sampler=route,
+                                  threads=threads, draws=draws)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Counts every draw of either sampler, as the curves look them up.
+        counts = {"window": 0, "direct": 0}
+
+        def counted(kind, fn):
+            @functools.wraps(fn)
+            def wrapper(*args):
+                counts[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(estimators, "nearest_window_distances", counted(
+            "window", estimators.nearest_window_distances))
+        monkeypatch.setattr(
+            estimators, "sample_ordered_distances_direct",
+            counted("direct", estimators.sample_ordered_distances_direct))
+        return counts
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.stderrs, b.stderrs)
+        assert np.array_equal(a.trials_used, b.trials_used)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("first, second", [
+        ("window", "window"), ("window", "simulation"),
+        ("simulation", "window"), ("direct", "direct")])
+    def test_reuse_changes_no_bit(self, first, second, threads):
+        draws = {}
+        stored = self._curve(first, threads, draws)
+        reused = self._curve(second, threads, draws)
+        self._assert_same(stored, self._curve(first, threads))
+        self._assert_same(reused, self._curve(second, threads))
+        assert len(draws) == 1
+        if first != "direct":
+            assert 0 < stored.trials_used[0] < self.ST.trials
+
+    @pytest.mark.parametrize("route, kind", [("window", "window"),
+                                             ("simulation", "window"),
+                                             ("direct", "direct")])
+    def test_second_curve_makes_no_draw(self, route, kind, calls):
+        draws = {}
+        self._curve(route, draws=draws)
+        assert calls[kind] == self.ST.trials
+        self._curve(route, draws=draws)
+        assert calls[kind] == self.ST.trials
+
+    @pytest.mark.parametrize("change", ["seed", "N", "trials", "half_width",
+                                        "sampler"])
+    def test_another_key_draws_again(self, change, calls):
+        draws = {}
+        self._curve("window", draws=draws)
+        cfg, st, route = self.CFG, self.ST, "window"
+        if change == "half_width":
+            cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=3.4142,
+                                   noise_power=0.1, half_width=2.0)
+        elif change == "sampler":
+            route = "direct"
+        else:
+            value = {"seed": 22, "N": 9, "trials": 2000}[change]
+            field = "interferer_total" if change == "N" else change
+            st = dataclasses.replace(self.ST, **{field: value})
+        curve = self._curve(route, draws=draws, cfg=cfg, st=st)
+        self._assert_same(curve, self._curve(route, cfg=cfg, st=st))
+        assert calls["window"] + calls["direct"] == (
+            self.ST.trials + 2 * st.trials)
+        assert len(draws) == 2
+
+    def test_stored_arrays_are_read_only(self):
+        draws = {}
+        self._curve("window", draws=draws)
+        (blocks,) = draws.values()
+        assert len(blocks) == 3
+        for D, trials in blocks:
+            assert D.shape == (len(trials), self.ST.interferer_total)
+            for a in (D, trials):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:1] = 0
+
+    def test_cap_counts_the_whole_store(self, calls, monkeypatch):
+        # The most a curve can keep: one distance row and one index per
+        # trial.  Below that nothing is stored and the bits stay the same.
+        need = self.ST.trials * (self.ST.interferer_total + 1) * 8
+        monkeypatch.setattr(estimators, "_MAX_DRAW_BYTES", need - 1)
+        draws = {}
+        for _ in range(2):
+            self._assert_same(self._curve("window", draws=draws),
+                              self._curve("window"))
+        assert draws == {}
+        assert calls["window"] == 4 * self.ST.trials
+        # One curve fits, but not a second one beside it.
+        monkeypatch.setattr(estimators, "_MAX_DRAW_BYTES", need)
+        self._curve("window", draws=draws)
+        self._curve("direct", draws=draws)
+        assert len(draws) == 1
+
+    def test_many_workers_read_shared_draws(self, monkeypatch):
+        # Eight workers on however many cores, switching often, read one
+        # stored draw; every block must still see its own rows.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        st = dataclasses.replace(self.ST, trials=9 * _TRIAL_BLOCK + 50)
+        base = self._curve("simulation", st=st)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            draws = {}
+            for _ in range(3):
+                self._assert_same(self._curve("simulation", threads=8,
+                                              draws=draws, st=st), base)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(draws) == 1
+
+    def test_cli_ladder_draws_each_geometry_once(self, calls, tmp_path):
+        # Four hybrid curves and one simulation curve on one window draw.
+        argv = ["--eta", "2", "--N", "5", "--K", "1", "2", "3", "4",
+                "--methods", "hybrid,simulation", "--trials", "2100",
+                "--tstep-db", "10", "--out", str(tmp_path / "k.csv")]
+        assert main(argv) == 0
+        assert calls == {"window": 2100, "direct": 0}
 
 
 class TestMapBlocks:
