@@ -55,7 +55,7 @@ def _expected_tail_errors(eta: float, counts, threshold: float,
     def integrand(b, owner):
         tail = tail_integral_batch(threshold, eta, 1.0 / np.sqrt(b), math.inf,
                                    0.25 * quad_abs_tol)
-        m = n[owner][:, None]
+        m = n[owner]
         return ((m - 1.0) * np.power(1.0 - b, m - 2.0)
                 * -np.expm1(-m * np.log1p(2.0 * b * tail)))
 

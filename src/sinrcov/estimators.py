@@ -425,6 +425,12 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
     ``quad_abs_tol``.  Each threshold's value is the one it gets alone.
     Only defined for pathloss exponents above 2: below that the tail
     integral refuses its infinite upper limit with ``ValueError``.
+
+    For T >= 1 the integrand of I(T) is at least t/2 on [1, T**(1/eta)],
+    so I(T) >= (T**(2/eta) - 1)/4 and sg <= 2/(T**(2/eta) + 1).  Where that
+    bound is at most ``quad_abs_tol``/4 the estimate is 0 and neither
+    integral runs for the threshold: there I(T) is too large to meet an
+    absolute tolerance, and far above it its series overflows.
     """
     eta = cfg.pathloss_exponent
     if not 0 < quad_abs_tol < math.inf:
@@ -432,17 +438,20 @@ def sg_coverage(cfg: NetworkConfig, grid: ThresholdGrid,
                          f"{quad_abs_tol}")
     t_lin = grid.thresholds_linear
     n = len(grid)
-    rate = 1.0 + 2.0 * tail_integral_batch(t_lin, eta, np.ones(n), math.inf,
+    with np.errstate(over="ignore"):
+        live = np.power(t_lin, 2.0 / eta) + 1.0 < 8.0 / quad_abs_tol
+    # A tail with s = 0 and a zero-width outer interval cost nothing.
+    t_live = np.where(live, t_lin, 0.0)
+    rate = 1.0 + 2.0 * tail_integral_batch(t_live, eta, np.ones(n), math.inf,
                                            0.25 * quad_abs_tol)
-    noise = t_lin * cfg.unit_noise
+    noise = t_live * cfg.unit_noise
 
     def integrand(v, owner):
         r = np.sqrt(v / math.pi)
-        return np.exp(-v * rate[owner][:, None]
-                      - noise[owner][:, None] * _pow_eta(r, eta))
+        return np.exp(-v * rate[owner] - noise[owner] * _pow_eta(r, eta))
 
     values, _ = _adaptive_batch(_unit_interval(integrand, 0.0), np.zeros(n),
-                                np.ones(n), 0.5 * quad_abs_tol)
+                                live.astype(float), 0.5 * quad_abs_tol)
     estimates = np.clip(values, 0.0, 1.0)
     return _curve(METHOD_SG, eta, grid, estimates)
 

@@ -347,6 +347,17 @@ class TestMain:
             assert sg_0db == [pytest.approx(1.0 / (1.0 + math.pi / 4.0),
                                             abs=1e-6)]
 
+    @pytest.mark.parametrize("eta", ["2.1", "3", "3.4142", "4", "6"])
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
+    def test_sg_at_high_thresholds_exits_0(self, eta, noise, tmp_path):
+        # 180 dB at eta 4 used to exit 3: I(T) near 1e9 cannot meet an
+        # absolute 2.5e-7.  Far above, its series overflowed instead.
+        out = tmp_path / "sg.csv"
+        assert main(["--methods", "sg", "--eta", eta, "--noise", noise,
+                     "--tmin-db", "100", "--tmax-db", "3080",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 1491
+
     def test_usage_error_exit_code(self):
         assert main(["--eta", "2", "--methods", "sg"]) == 2
 

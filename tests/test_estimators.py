@@ -683,6 +683,21 @@ class TestSgCoverage:
         b = sc.sg_coverage(CFG, GRID)
         np.testing.assert_array_equal(a.estimates, b.estimates)
 
+    @pytest.mark.parametrize("eta", [2.1, 3.0, 3.4142, 4.0, 6.0])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_high_thresholds_under_their_bound(self, eta, noise):
+        # I(T) >= (T**(2/eta) - 1)/4 for T >= 1, so sg <= 2/(T**(2/eta) + 1);
+        # thresholds whose bound is at most tol/4 read exactly 0.  Up to
+        # 3,080 dB no tail may fail its tolerance or overflow.
+        tol = 1e-6
+        cfg = sc.NetworkConfig(bs_density=1.0, pathloss_exponent=eta,
+                               noise_power=noise)
+        grid = sc.ThresholdGrid.from_db_range(100, 3080, 20)
+        est = sc.sg_coverage(cfg, grid, quad_abs_tol=tol).estimates
+        bound = 2.0 / (np.power(grid.thresholds_linear, 2.0 / eta) + 1.0)
+        assert np.all(est[bound <= 0.25 * tol] == 0.0)
+        assert np.all(est <= bound + tol)
+
     @pytest.mark.parametrize("eta", [3.0, 3.4142, 4.0])
     def test_tight_tolerance_reachable(self, eta):
         # Noise 0.1: one tail per threshold and one 1-D integral reach
@@ -767,7 +782,9 @@ class TestExactExpectation:
     also the truncated network's coverage P_N, which the simulation
     estimates.  With seed 4242 the worst |z| over the 21 thresholds was 2.08
     for the hybrid (1.54 over the three K = 4 cases) and 2.07 for the
-    simulation.
+    simulation.  The noise-limited cases (eta 4, N 10, unit noise 1 to 1e4,
+    where sg has its 1-D reduction) read at most 2.02 for K = 1 and 1.97
+    for K = 4.
     """
 
     @pytest.mark.parametrize("eta,N,K", [(2.0, 5, 1), (4.0, 10, 10),
@@ -788,6 +805,35 @@ class TestExactExpectation:
             assert np.all(np.abs(exact - coarse) < 0.25 * curve.stderrs)
         z = (curve.estimates - exact) / curve.stderrs
         assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("noise", [1.0, 10.0, 100.0, 1e4])
+    def test_noise_limited_direct_hybrid(self, noise, K):
+        # e^(-s*noise) confines the expectation to small r, where 32 nodes
+        # per axis are too coarse at noise 1e4, so the 3-D rule takes 96
+        # and is checked against 64.
+        cfg = sc.NetworkConfig(pathloss_exponent=4.0, noise_power=noise)
+        st = sc.EstimatorSettings(dominant_count=K, interferer_total=10,
+                                  trials=20_000, seed=4242)
+        curve = sc.hybrid_coverage(cfg, st, GRID, sampler="direct")
+        exact = hybrid_expectation(4.0, 10, K, 1.0, noise,
+                                   GRID.thresholds_linear, nodes=96)
+        if K > 1:
+            coarse = hybrid_expectation(4.0, 10, K, 1.0, noise,
+                                        GRID.thresholds_linear, nodes=64)
+            assert np.all(np.abs(exact - coarse) < 0.25 * curve.stderrs)
+        z = (curve.estimates - exact) / curve.stderrs
+        assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+
+    @pytest.mark.parametrize("noise", [1.0, 10.0, 100.0, 1e4])
+    def test_noise_limited_sg(self, noise):
+        cfg = sc.NetworkConfig(pathloss_exponent=4.0, noise_power=noise)
+        exact = [sg_eta4_coverage(t, 1.0, noise)
+                 for t in GRID.thresholds_linear]
+        for tol in (1e-6, 1e-9):
+            curve = sc.sg_coverage(cfg, GRID, quad_abs_tol=tol)
+            np.testing.assert_allclose(curve.estimates, exact, rtol=0,
+                                       atol=tol)
 
     @pytest.mark.parametrize("eta,N", [(4.0, 10), (3.0, 5), (2.0, 5)])
     def test_window_simulation(self, eta, N):

@@ -67,7 +67,7 @@ class TestIntegrateAdaptive:
         # The NaN integral must raise, not pass with a NaN error estimate,
         # while its finite neighbour still converges.
         def fun(x, owner):
-            return np.where(owner[:, None] == 0, np.nan, x)
+            return np.where(owner == 0, np.nan, x)
 
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         with pytest.raises(QuadratureError, match="1 of 2") as excinfo:
@@ -100,6 +100,50 @@ class TestIntegrateAdaptive:
         with pytest.raises(QuadratureError) as excinfo:
             _integrate(f, 0.0, 1.0, 1e-6)
         assert excinfo.value is inner
+
+
+class TestPanelSums:
+    """The node-major K15 and G7 sums against the row-major ``.sum(axis=1)``.
+
+    Exact equality pins every bit of every value except the sign of a zero
+    sum and the payload of a NaN.  Neither can reach an output: the engine
+    adds each panel to a 0.0 by ``np.bincount``, and a NaN error gauge reads
+    as not converged.
+    """
+
+    @staticmethod
+    def _row_major(fx, lo, hi):
+        # The formula of the former (panels, 15) layout, kept as reference.
+        rows = np.ascontiguousarray(fx.T)
+        h = 0.5 * (hi - lo)
+        k15 = h * (rows * quadrature._K15_WEIGHTS).sum(axis=1)
+        g7 = h * (rows[:, 1::2] * quadrature._G7_WEIGHTS).sum(axis=1)
+        err = np.abs(k15 - g7)
+        return k15, np.where(np.isnan(err), np.inf, err)
+
+    @pytest.mark.parametrize("size", [1, _PANEL_BLOCK - 1, _PANEL_BLOCK,
+                                      _PANEL_BLOCK + 1])
+    def test_equal_to_row_major_sums(self, size):
+        rng = np.random.default_rng(size)
+        # Most panels hold values of one scale, where the order of the adds
+        # shows in the last bits; the rest span the whole float range.
+        spread = np.where(rng.random(size) < 0.25, 300.0, 2.0)
+        fx = (rng.standard_normal((15, size))
+              * 10.0 ** (spread * rng.uniform(-1.0, 1.0, (15, size))))
+        lo = rng.uniform(-5.0, 5.0, size)
+        hi = lo + 10.0 ** rng.uniform(-12, 2, size)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        mask = rng.random((15, size)) < 0.05
+        fx[mask] = rng.choice(special, mask.sum())
+        fx[:, ::7] = -0.0  # whole panels of negative zeros
+        fx[::2, 3::11] = 0.0
+        # inf - inf and overflowing products are part of the input.
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = self._row_major(fx, lo, hi)
+            got = quadrature._panel(lambda x, owner: fx[:, owner], lo, hi,
+                                    np.arange(size))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 class TestTailBatchFailure:
@@ -158,6 +202,21 @@ class TestTailIntegrand:
             vals = quadrature.tail_integrand(s, eta, t)
             assert np.all(vals >= 0.0)
             assert np.all(vals <= t * (1 + 1e-12))
+
+    def test_broadcasts_and_leaves_inputs(self):
+        # Either argument may be the larger; neither is written to.
+        s = np.array([0.0, 1.0, 4.0])
+        t = np.array([[0.0], [1.0], [2.0]])
+        s0, t0 = s.copy(), t.copy()
+        for args in ((s, t), (t, s), (s, 2.0), (2.0, t)):
+            got = quadrature.tail_integrand(args[0], 4.0, args[1])
+            with np.errstate(invalid="ignore"):
+                want = args[0] * np.asarray(args[1]) / (
+                    np.asarray(args[1]) ** 4 + args[0])
+            np.testing.assert_array_equal(
+                got, np.where(np.isfinite(want), want, 0.0))
+        np.testing.assert_array_equal(s, s0)
+        np.testing.assert_array_equal(t, t0)
 
 
 class TestTailIntegral:
